@@ -23,7 +23,6 @@ from .algebra import (
     as_rat,
     full_rank_everywhere,
     inertia_congruence,
-    para_conjugate,
     poly_gcd,
     polynomial_kernel_basis,
     rank_factorization,
@@ -62,6 +61,7 @@ from .dirac import (
     skew_adjoint_structure,
     two_point_form,
     validate_dirac_pair,
+    validate_skew_adjoint,
 )
 from .constrained import (
     ConstrainedSample,
@@ -71,7 +71,6 @@ from .constrained import (
     constrained_boundary,
     constrained_sample,
     constrained_balance_form,
-    validate_skew_adjoint,
 )
 from .lagrange import (
     LagrangeBoundary,

@@ -29,7 +29,6 @@ __all__ = [
     "InconsistentSystemError",
     "UnderdeterminedSystemError",
     "as_rat",
-    "para_conjugate",
     "poly_gcd",
     "full_rank_everywhere",
     "solve_linear",
@@ -331,6 +330,11 @@ def _as_poly(value) -> Poly:
     if isinstance(value, (int, Fraction, str)):
         return Poly((as_rat(value),))
     raise TypeError(f"cannot coerce {value!r} to a polynomial entry")
+
+
+def _dot(u, v) -> Poly:
+    """Sum of the entrywise products of two sequences, as a polynomial."""
+    return sum((x * y for x, y in zip(u, v)), Poly.zero())
 
 
 class RatMatrix:
@@ -776,11 +780,6 @@ class Inertia:
 # ---------------------------------------------------------------------------
 # module-level exact linear algebra
 # ---------------------------------------------------------------------------
-
-
-def para_conjugate(p: PolyMatrix) -> PolyMatrix:
-    """Entrywise substitution ``s -> -s`` (an involution)."""
-    return p.para()
 
 
 def poly_gcd(polys: Iterable[Poly]) -> Poly:

@@ -30,11 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Poly, PolyMatrix, RatMatrix
-from .constrained import (
-    ConstrainedStructure,
-    constrained_boundary,
-    validate_skew_adjoint,
-)
+from .constrained import ConstrainedStructure, constrained_boundary
 from .dirac import (
     DEFAULT_SPLIT_TOLERANCE,
     BoundaryStructure,
@@ -46,6 +42,7 @@ from .dirac import (
     dirac_condition_reports,
     skew_adjoint_structure,
     two_point_form,
+    validate_skew_adjoint,
 )
 from .harness import (
     DEFAULT_DEGREES,
@@ -68,7 +65,7 @@ from .realize import (
     realize,
     verify_realization_structure,
 )
-from .twovar import TwoVarPolyMatrix, mul_zeta_plus_eta
+from .twovar import TwoVarPolyMatrix
 
 __all__ = [
     "ParseError",
@@ -323,16 +320,12 @@ def _build(problem: ProblemFile) -> _Built:
             pair = DiracPair(problem.matrices["F"], problem.matrices["E"])
             built.structure = boundary_structure(pair)
         return built
-    if kind == "skew_adjoint":
+    if kind in ("skew_adjoint", "constrained"):
         ok, witness = validate_skew_adjoint(problem.matrices["J"])
         built = _Built([ConditionReport("skew_adjoint", ok, witness)])
-        if ok:
+        if ok and kind == "skew_adjoint":
             built.structure = skew_adjoint_structure(problem.matrices["J"])
-        return built
-    if kind == "constrained":
-        ok, witness = validate_skew_adjoint(problem.matrices["J"])
-        built = _Built([ConditionReport("skew_adjoint", ok, witness)])
-        if ok:
+        elif ok:
             built.constrained = constrained_boundary(problem.matrices["J"],
                                                      problem.matrices["G"])
             built.structure = built.constrained.j_structure
@@ -349,13 +342,11 @@ def _build(problem: ProblemFile) -> _Built:
 
 
 def _boundary_section(problem: ProblemFile, built: _Built) -> dict:
+    # every factor_* call re-verifies its reconstruction before returning,
+    # which is what `reconstruction_verified` reports
     kind = problem.kind
     if kind in ("dirac", "skew_adjoint"):
         s = built.structure
-        recon = TwoVarPolyMatrix.outer(s.Z, PolyMatrix.from_const(s.Sigma) * s.Z)
-        if recon != s.pi:
-            raise AssertionError("internal error: factorization reconstruction "
-                                 "failed at emission")
         return {
             "n": s.n,
             "pi": _two_var_json(s.pi),
@@ -366,12 +357,6 @@ def _boundary_section(problem: ProblemFile, built: _Built) -> dict:
         }
     if kind == "constrained":
         c = built.constrained
-        j = c.j_structure
-        recon_j = TwoVarPolyMatrix.outer(j.Z, PolyMatrix.from_const(j.Sigma) * j.Z)
-        recon_g = TwoVarPolyMatrix.outer(c.Z_G, c.V_G)
-        if recon_j != j.pi or recon_g != c.xi:
-            raise AssertionError("internal error: factorization reconstruction "
-                                 "failed at emission")
         return {
             "n_j": c.n_j,
             "n_g": c.n_g,
@@ -380,24 +365,13 @@ def _boundary_section(problem: ProblemFile, built: _Built) -> dict:
             "Z_G": _poly_matrix_json(c.Z_G),
             "V_G": _poly_matrix_json(c.V_G),
             "Pi_G": _rat_matrix_json(c.Pi_G),
-            "inertia_J": list(j.inertia.as_tuple()),
+            "inertia_J": list(c.j_structure.inertia.as_tuple()),
             "reconstruction_verified": True,
         }
     if kind == "lagrange":
         b = built.lagrange
-        p = b.p
-        if p:
-            upper = RatMatrix.hstack([RatMatrix.zero(p, p), RatMatrix.identity(p)])
-            lower = RatMatrix.hstack([-RatMatrix.identity(p), RatMatrix.zero(p, p)])
-            j_p = RatMatrix.vstack([upper, lower])
-        else:
-            j_p = RatMatrix.zero(0, 0)
-        recon = TwoVarPolyMatrix.outer(b.W, PolyMatrix.from_const(j_p) * b.W)
-        if recon != b.Lambda or mul_zeta_plus_eta(b.Lambda) != b.Theta:
-            raise AssertionError("internal error: factorization reconstruction "
-                                 "failed at emission")
         return {
-            "p": p,
+            "p": b.p,
             "Theta": _two_var_json(b.Theta),
             "W": _poly_matrix_json(b.W),
             "reconstruction_verified": True,
@@ -405,41 +379,39 @@ def _boundary_section(problem: ProblemFile, built: _Built) -> dict:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _split_json(split) -> dict:
+    return {"p": split.p, "residual": split.residual,
+            "T": _float_matrix_json(split.T)}
+
+
+def _two_point_json(structure: BoundaryStructure, tolerance: float) -> dict:
+    sigma2, split = two_point_form(structure, tolerance)
+    return {"Sigma2": _rat_matrix_json(sigma2), **_split_json(split)}
+
+
 def _split_section(built: _Built, tolerance: float, two_point: bool,
                    documenting: bool) -> tuple[dict, bool]:
     """Split data plus a pass verdict.  With `documenting` an unbalanced
     one-point split is described rather than failed."""
-    sigma = built.structure.Sigma
     section: dict = {"tolerance": tolerance}
     if two_point:
-        sigma2, split = two_point_form(built.structure, tolerance)
         section["two_point"] = True
-        section["Sigma2"] = _rat_matrix_json(sigma2)
-        section["p"] = split.p
-        section["residual"] = split.residual
-        section["T"] = _float_matrix_json(split.T)
+        section.update(_two_point_json(built.structure, tolerance))
         return section, True
     section["two_point"] = False
     try:
-        split = canonical_power_split(sigma, tolerance)
+        split = canonical_power_split(built.structure.Sigma, tolerance)
     except UnbalancedSignatureError as exc:
         section["balanced"] = False
         section["inertia"] = list(exc.inertia.as_tuple())
         section["witness"] = str(exc)
         if documenting:
-            sigma2, split2 = two_point_form(built.structure, tolerance)
-            section["two_point_fallback"] = {
-                "Sigma2": _rat_matrix_json(sigma2),
-                "p": split2.p,
-                "residual": split2.residual,
-                "T": _float_matrix_json(split2.T),
-            }
+            section["two_point_fallback"] = _two_point_json(built.structure,
+                                                            tolerance)
             return section, True
         return section, False
     section["balanced"] = True
-    section["p"] = split.p
-    section["residual"] = split.residual
-    section["T"] = _float_matrix_json(split.T)
+    section.update(_split_json(split))
     return section, True
 
 
@@ -484,15 +456,14 @@ def _realization_section(target, swap: tuple[int, ...] | None
 
 
 def _verification_section(problem: ProblemFile, built: _Built,
-                          options: RunOptions) -> tuple[dict, bool]:
+                          options: RunOptions, tolerance: float
+                          ) -> tuple[dict, bool]:
     settings = problem.settings
     trials = options.trials or settings.get("trials") or DEFAULT_TRIALS
     seed = options.seed if options.seed is not None else settings.get("seed", 0)
     degree = options.degree if options.degree is not None else settings.get("degree")
     degrees = (degree,) if degree is not None else DEFAULT_DEGREES
     interval = options.interval or settings.get("interval")
-    tolerance = (options.tolerance or settings.get("tolerance")
-                 or DEFAULT_SPLIT_TOLERANCE)
     if problem.kind in ("dirac", "skew_adjoint"):
         reports = dirac_suite(built.structure, trials, degrees, seed,
                               interval, tolerance)
@@ -571,7 +542,7 @@ def run(subcommand: str, problem: ProblemFile, options: RunOptions) -> dict:
         passed = passed and ok
 
     if built.ok and subcommand in ("verify", "report"):
-        section, ok = _verification_section(problem, built, options)
+        section, ok = _verification_section(problem, built, options, tolerance)
         report["verification"] = section
         passed = passed and ok
 

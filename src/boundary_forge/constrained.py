@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, PolyMatrix, RatMatrix, polynomial_kernel_basis
-from .dirac import BoundaryStructure, skew_adjoint_residual, skew_adjoint_structure
+from .algebra import Poly, PolyMatrix, RatMatrix, _dot, polynomial_kernel_basis
+from .dirac import BoundaryStructure, _skew_adjoint_boundary, validate_skew_adjoint
 from .twovar import TwoVarPolyMatrix, div_zeta_plus_eta, factor_general
 
 __all__ = [
@@ -55,14 +55,6 @@ class NotSkewAdjointError(ValueError):
 
 class EmptyKernelError(ValueError):
     """No nonzero constrained effort exists at the requested degree."""
-
-
-def validate_skew_adjoint(J: PolyMatrix) -> tuple[bool, str | None]:
-    """Check J(s) + J(-s)^T = 0; on failure the witness prints the residual."""
-    residual = skew_adjoint_residual(J)
-    if residual.is_zero():
-        return True, None
-    return False, f"J(s) + J(-s)^T = {residual}"
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ def constrained_boundary(J: PolyMatrix, G: PolyMatrix) -> ConstrainedStructure:
     if G.cols != J.rows:
         raise ValueError(f"constraint operator width {G.cols} does not match "
                          f"effort dimension {J.rows}")
-    j_structure = skew_adjoint_structure(J)
+    j_structure = _skew_adjoint_boundary(J)
     g_adj = G.transpose().para()  # G(-s)^T, the formal adjoint acting on lam
     delta = (TwoVarPolyMatrix.from_eta(g_adj)
              - TwoVarPolyMatrix.from_zeta(G.transpose()))
@@ -183,10 +175,6 @@ def constrained_sample(structure: ConstrainedStructure, degree: int, seed: int,
     j_part = structure.J.apply(effort)
     g_part = structure.G.transpose().para().apply(multiplier)
     flow = tuple(a + b for a, b in zip(j_part, g_part))
-    # defensive: the constraint must hold exactly
-    for r in structure.G.apply(effort):
-        if not r.is_zero:
-            raise AssertionError("internal error: sampled effort violates constraint")
     return ConstrainedSample(effort, multiplier, flow, kernel_empty, degree, seed)
 
 
@@ -205,26 +193,20 @@ def constrained_balance_form(structure: ConstrainedStructure,
     solutions.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
-
-    def pairing(u, v) -> Poly:
-        return sum((x * y for x, y in zip(u, v)), Poly.zero())
-
-    integrand = (pairing(sample1.effort, sample2.flow)
-                 + pairing(sample2.effort, sample1.flow))
+    integrand = (_dot(sample1.effort, sample2.flow)
+                 + _dot(sample2.effort, sample1.flow))
     total = integrand.integral(a, b)
 
     b_j1 = structure.Z_J.apply(sample1.effort)
     b_j2 = structure.Z_J.apply(sample2.effort)
-    sigma_bj2 = [sum((structure.Sigma_J.entries[i][j] * b_j2[j]
-                      for j in range(len(b_j2))), Poly.zero())
-                 for i in range(structure.Sigma_J.rows)]
-    j_bracket = pairing(b_j1, sigma_bj2)
+    sigma_bj2 = [_dot(row, b_j2) for row in structure.Sigma_J.entries]
+    j_bracket = _dot(b_j1, sigma_bj2)
 
     b_g1 = structure.Z_G.apply(sample1.effort)
     b_g2 = structure.Z_G.apply(sample2.effort)
     c_g1 = structure.V_G.apply(sample1.multiplier)
     c_g2 = structure.V_G.apply(sample2.multiplier)
-    g_bracket = pairing(b_g2, c_g1) + pairing(b_g1, c_g2)
+    g_bracket = _dot(b_g2, c_g1) + _dot(b_g1, c_g2)
 
     boundary = (j_bracket(b) - j_bracket(a)) + (g_bracket(b) - g_bracket(a))
     return total - boundary

@@ -64,6 +64,7 @@ __all__ = [
     "image_representation",
     "boundary_structure",
     "skew_adjoint_residual",
+    "validate_skew_adjoint",
     "skew_adjoint_structure",
     "canonical_power_split",
     "two_point_form",
@@ -137,9 +138,6 @@ class ImageRep:
     def m(self) -> int:
         return self.N_f.cols
 
-    def stacked(self) -> PolyMatrix:
-        return PolyMatrix.vstack([self.N_f, self.N_e])
-
 
 @dataclass(frozen=True)
 class BoundaryStructure:
@@ -205,22 +203,20 @@ def validate_dirac_pair(F: PolyMatrix, E: PolyMatrix) -> DiracPair:
 
 
 def image_representation(pair: DiracPair) -> ImageRep:
-    """Annihilator image representation N_f(s) = E(-s)^T, N_e(s) = F(-s)^T."""
-    n_f = pair.E.transpose().para()
-    n_e = pair.F.transpose().para()
-    # the representation must solve the kernel relation and keep full rank
-    residual = pair.F * n_f + pair.E * n_e
-    if not residual.is_zero():
-        raise AssertionError("internal error: image representation does not annihilate")
-    rep = ImageRep(n_f, n_e)
-    if not full_rank_everywhere(rep.stacked().transpose()):
-        raise AssertionError("internal error: image representation loses rank")
-    return rep
+    """Annihilator image representation N_f(s) = E(-s)^T, N_e(s) = F(-s)^T.
+
+    Validation already proves both of its properties: F N_f + E N_e is the
+    skew-condition residual at -s, and [N_f^T N_e^T] = [E(-s) F(-s)] is a
+    column-block permutation of the rank-condition matrix.
+    """
+    return ImageRep(pair.E.transpose().para(), pair.F.transpose().para())
 
 
 def boundary_structure(pair: DiracPair) -> BoundaryStructure:
     """Synthesize the boundary map and pairing matrix for a validated pair.
 
+    The pair is not re-checked: pass the result of
+    :func:`validate_dirac_pair`, or a pair whose condition reports passed.
     Builds Phi(zeta, eta) = F(-zeta)E(-eta)^T + E(-zeta)F(-eta)^T, divides
     out (zeta + eta), and factors the quotient symmetrically.
     """
@@ -241,6 +237,21 @@ def skew_adjoint_residual(J: PolyMatrix) -> PolyMatrix:
     return J + J.transpose().para()
 
 
+def validate_skew_adjoint(J: PolyMatrix) -> tuple[bool, str | None]:
+    """Check J(s) + J(-s)^T = 0; on failure the witness prints the residual."""
+    residual = skew_adjoint_residual(J)
+    if residual.is_zero():
+        return True, None
+    return False, f"J(s) + J(-s)^T = {residual}"
+
+
+def _skew_adjoint_boundary(J: PolyMatrix) -> BoundaryStructure:
+    # For skew-adjoint J the pair (I, -J) needs no validation: its skew
+    # residual is minus the transpose of J(s) + J(-s)^T, and [I -J(-s)]
+    # has the maximal minor det I = 1.
+    return boundary_structure(DiracPair(PolyMatrix.identity(J.rows), -J))
+
+
 def skew_adjoint_structure(J: PolyMatrix) -> BoundaryStructure:
     """Boundary structure for a formally skew-adjoint operator J driving
     flows from efforts, f = J(d/dz) e.
@@ -250,13 +261,10 @@ def skew_adjoint_structure(J: PolyMatrix) -> BoundaryStructure:
     example J = [[0, s], [s, 0]] the pairing comes out as Z = I and
     Sigma = [[0, 1], [1, 0]] exactly.
     """
-    residual = skew_adjoint_residual(J)
-    if not residual.is_zero():
-        report = ConditionReport("skew_adjoint", False,
-                                 f"J(s) + J(-s)^T = {residual}")
-        raise DiracConditionError((report,))
-    pair = validate_dirac_pair(PolyMatrix.identity(J.rows), -J)
-    return boundary_structure(pair)
+    ok, witness = validate_skew_adjoint(J)
+    if not ok:
+        raise DiracConditionError((ConditionReport("skew_adjoint", False, witness),))
+    return _skew_adjoint_boundary(J)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly
-from .constrained import ConstrainedStructure, constrained_sample, constrained_balance_form
+from .algebra import Poly, _dot
+from .constrained import (
+    ConstrainedStructure,
+    _random_fraction,
+    _random_poly,
+    constrained_balance_form,
+    constrained_sample,
+)
 from .dirac import (
     DEFAULT_SPLIT_TOLERANCE,
     BoundaryStructure,
@@ -101,10 +107,6 @@ class VerificationReport:
                 f"{self.trials} trials{extra} ({self.elapsed:.3f}s)")
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
 def _random_interval(rng: random.Random) -> tuple[Fraction, Fraction]:
     while True:
         a, b = _random_fraction(rng), _random_fraction(rng)
@@ -118,14 +120,9 @@ def random_latent(seed, dim: int, degree: int) -> Trajectory:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     rng = random.Random(seed)
-    l = tuple(Poly([_random_fraction(rng) for _ in range(degree + 1)])
-              for _ in range(dim))
+    l = tuple(_random_poly(rng, degree) for _ in range(dim))
     alpha, beta = _random_interval(rng)
     return Trajectory(l, alpha, beta)
-
-
-def _dot(u, v) -> Poly:
-    return sum((x * y for x, y in zip(u, v)), Poly.zero())
 
 
 def integrate_pairing(f1, e1, f2, e2, alpha, beta) -> Fraction:
@@ -243,6 +240,18 @@ def _sub_seed(seed: int, trial: int, salt: int) -> int:
     return (int(seed) * 1_000_003 + trial) * 3 + salt
 
 
+def _latent_trials(m: int, trials: int, degrees, seed: int, interval):
+    """Per trial, two random latents and the interval: the given one, or
+    else the random interval drawn with the first latent."""
+    for t, degree in enumerate(_trial_degrees(trials, degrees)):
+        t1 = random_latent(_sub_seed(seed, t, 0), m, degree)
+        t2 = random_latent(_sub_seed(seed, t, 1), m, degree)
+        if interval is None:
+            yield t1.l, t2.l, t1.alpha, t1.beta
+        else:
+            yield t1.l, t2.l, Fraction(interval[0]), Fraction(interval[1])
+
+
 def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
                 degrees=DEFAULT_DEGREES, seed: int = 0, interval=None,
                 split_tolerance: float = DEFAULT_SPLIT_TOLERANCE
@@ -250,10 +259,11 @@ def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
     """Bilinear-balance and power-balance checks over random trajectories.
 
     Returns one aggregated report per check.  With a balanced signature the
-    power-balance report also carries one split deviation per trial.
+    power-balance report also carries one split deviation per trial.  Each
+    report's `elapsed` covers its own residuals (the split counts towards
+    the power balance), not the drawing of trajectories.
     """
     start = time.perf_counter()
-    m = structure.rep.m
     form_residuals = []
     balance_residuals = []
     deviations = []
@@ -261,21 +271,22 @@ def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
         split = canonical_power_split(structure.Sigma, split_tolerance)
     except UnbalancedSignatureError:
         split = None
-    for t, degree in enumerate(_trial_degrees(trials, degrees)):
-        t1 = random_latent(_sub_seed(seed, t, 0), m, degree)
-        t2 = random_latent(_sub_seed(seed, t, 1), m, degree)
-        a, b = (t1.alpha, t1.beta) if interval is None else \
-            (Fraction(interval[0]), Fraction(interval[1]))
-        form_residuals.append(_dirac_form_residual(structure, t1.l, t2.l, a, b))
-        balance_residuals.append(_power_balance_residual(structure, t1.l, a, b))
+    form_elapsed, balance_elapsed = 0.0, time.perf_counter() - start
+    for l1, l2, a, b in _latent_trials(structure.rep.m, trials, degrees, seed,
+                                       interval):
+        t0 = time.perf_counter()
+        form_residuals.append(_dirac_form_residual(structure, l1, l2, a, b))
+        t1 = time.perf_counter()
+        balance_residuals.append(_power_balance_residual(structure, l1, a, b))
         if split is not None:
-            deviations.append(_power_split_deviation(structure, split, t1.l, a, b))
-    mid = time.perf_counter()
+            deviations.append(_power_split_deviation(structure, split, l1, a, b))
+        form_elapsed += t1 - t0
+        balance_elapsed += time.perf_counter() - t1
     form = VerificationReport("dirac_form", structure.describe(), trials,
-                              tuple(form_residuals), mid - start)
+                              tuple(form_residuals), form_elapsed)
     balance = VerificationReport(
         "power_balance", structure.describe(), trials,
-        tuple(balance_residuals), time.perf_counter() - mid,
+        tuple(balance_residuals), balance_elapsed,
         tuple(deviations), split_tolerance if split is not None else None)
     return form, balance
 
@@ -305,14 +316,9 @@ def lagrange_suite(boundary: LagrangeBoundary, trials: int = DEFAULT_TRIALS,
                    ) -> tuple[VerificationReport, ...]:
     """Symplectic balance residuals over random trajectory pairs."""
     start = time.perf_counter()
-    m = boundary.m
-    residuals = []
-    for t, degree in enumerate(_trial_degrees(trials, degrees)):
-        t1 = random_latent(_sub_seed(seed, t, 0), m, degree)
-        t2 = random_latent(_sub_seed(seed, t, 1), m, degree)
-        a, b = (t1.alpha, t1.beta) if interval is None else \
-            (Fraction(interval[0]), Fraction(interval[1]))
-        residuals.append(storage_balance_form(boundary, t1.l, t2.l, a, b))
+    residuals = [storage_balance_form(boundary, l1, l2, a, b)
+                 for l1, l2, a, b in _latent_trials(boundary.m, trials,
+                                                    degrees, seed, interval)]
     return (VerificationReport("symplectic_balance", boundary.describe(),
                                trials, tuple(residuals),
                                time.perf_counter() - start),)

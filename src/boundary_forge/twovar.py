@@ -200,11 +200,6 @@ class TwoVarPolyMatrix:
         return TwoVarPolyMatrix(self.p, self.q,
                                 {kl: -mat for kl, mat in self.blocks.items()})
 
-    def scale(self, c) -> "TwoVarPolyMatrix":
-        c = Fraction(c)
-        return TwoVarPolyMatrix(self.p, self.q,
-                                {kl: mat * c for kl, mat in self.blocks.items()})
-
     # -- coefficient matrix round trip ---------------------------------------
 
     def to_coeff(self, window: int | None = None) -> "CoeffMatrix":

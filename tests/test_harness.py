@@ -2,6 +2,7 @@
 deviation channel, and reproducibility."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,15 @@ def test_dirac_suite_fixed_interval():
     form, balance = dirac_suite(structure, trials=6, seed=1,
                                 interval=(Fraction(0), Fraction(1)))
     assert form.all_zero and balance.all_zero
+
+
+def test_dirac_suite_elapsed_split_between_checks():
+    structure = example_structure()
+    start = time.perf_counter()
+    form, balance = dirac_suite(structure, trials=10, seed=2)
+    wall = time.perf_counter() - start
+    assert form.elapsed > 0 and balance.elapsed > 0
+    assert form.elapsed + balance.elapsed <= wall
 
 
 def test_constrained_suite_exact():
