@@ -1062,8 +1062,6 @@ def polynomial_kernel_basis(g: PolyMatrix, degree: int) -> tuple[tuple[Poly, ...
                     row[j * (degree + 1) + t] += c * ff(t, k)
         for u in sorted(row_coeffs):
             rows.append(row_coeffs[u])
-    if not rows:
-        rows = []
     reduced, pivots = _rref(rows, nvars) if rows else ([], [])
     pivot_set = set(pivots)
     free_cols = [c for c in range(nvars) if c not in pivot_set]

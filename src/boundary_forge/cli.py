@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -184,8 +185,12 @@ def _parse_settings(data: dict) -> dict:
             settings[key] = v
     if "tolerance" in raw:
         v = raw["tolerance"]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            raise ParseError("settings.tolerance: expected a positive number")
+        # NaN fails both comparisons; an int beyond the float range is not
+        # finite either
+        if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                or not 0 < v <= sys.float_info.max):
+            raise ParseError("settings.tolerance: expected a positive finite "
+                             "number")
         settings["tolerance"] = float(v)
     return settings
 
@@ -689,8 +694,9 @@ def main(argv=None) -> int:
             raise ParseError("--trials: must be at least 1")
         if args.degree is not None and args.degree < 0:
             raise ParseError("--degree: must be nonnegative")
-        if args.tolerance is not None and args.tolerance <= 0:
-            raise ParseError("--tolerance: must be positive")
+        if args.tolerance is not None and not (
+                args.tolerance > 0 and math.isfinite(args.tolerance)):
+            raise ParseError("--tolerance: must be positive and finite")
         options = RunOptions(
             interval=interval,
             trials=args.trials,

@@ -151,8 +151,15 @@ def constrained_sample(structure: ConstrainedStructure, degree: int, seed: int,
     ``kernel_empty`` (or raises :class:`EmptyKernelError` when a nonzero
     effort was required).
     """
+    return _constrained_sample(structure, polynomial_kernel_basis(
+        structure.G, degree), degree, seed, require_nonzero_e)
+
+
+def _constrained_sample(structure: ConstrainedStructure, basis, degree: int,
+                        seed: int, require_nonzero_e: bool = False
+                        ) -> ConstrainedSample:
+    """:func:`constrained_sample` with the kernel basis at this degree."""
     rng = random.Random(seed)
-    basis = polynomial_kernel_basis(structure.G, degree)
     m = structure.m
     if not basis:
         if require_nonzero_e:

@@ -15,13 +15,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, _dot
+from .algebra import Poly, _dot, polynomial_kernel_basis
 from .constrained import (
     ConstrainedStructure,
     _random_fraction,
     _random_poly,
+    _constrained_sample,
     constrained_balance_form,
-    constrained_sample,
 )
 from .dirac import (
     DEFAULT_SPLIT_TOLERANCE,
@@ -134,60 +134,60 @@ def integrate_pairing(f1, e1, f2, e2, alpha, beta) -> Fraction:
 # per-trial residuals ---------------------------------------------------------
 
 
-def _pairing_bracket(structure: BoundaryStructure, l1, l2) -> Poly:
-    b1 = structure.boundary(l1)
-    b2 = structure.boundary(l2)
-    sigma_b2 = [_dot((Poly.const(c) for c in row), b2)
-                for row in structure.Sigma.entries]
-    return _dot(b1, sigma_b2)
+def _dirac_trial(structure: BoundaryStructure, split: PowerSplit | None,
+                 l1, l2, alpha, beta):
+    """One trial: (form, balance, deviation, form_s, balance_s).
 
-
-def _dirac_form_residual(structure: BoundaryStructure, l1, l2, alpha, beta) -> Fraction:
-    total = integrate_pairing(structure.flows(l1), structure.efforts(l1),
-                              structure.flows(l2), structure.efforts(l2),
-                              alpha, beta)
-    bracket = _pairing_bracket(structure, l1, l2)
-    return total - (bracket(beta) - bracket(alpha))
-
-
-def _power_balance_residual(structure: BoundaryStructure, l, alpha, beta) -> Fraction:
-    f, e = structure.flows(l), structure.efforts(l)
-    total = _dot(e, f).integral(Fraction(alpha), Fraction(beta))
-    bracket = _pairing_bracket(structure, l, l)
-    return total - (bracket(beta) - bracket(alpha)) / 2
-
-
-def _power_split_deviation(structure: BoundaryStructure, split: PowerSplit,
-                           l, alpha, beta) -> float:
-    """Relative disagreement between the exact interior power and the split
-    boundary power difference.
-
-    The split lives in floating point, so its roundoff grows with the size
-    of the boundary values; dividing by the magnitude of the compared terms
-    makes the tolerance meaningful across trajectory scales.
+    `form` is the bilinear balance residual of (l1, l2), `balance` the
+    power balance residual of l1 and `deviation` (None without a split) the
+    relative disagreement between the exact interior power of l1 and its
+    split boundary power difference, followed by the time of each check.
+    Each latent's flows, efforts and boundary values, and the interior
+    power of l1, are computed once; the form time includes them.  The split
+    lives in floating point, so its roundoff grows with the size of the
+    boundary values; dividing by the magnitude of the compared terms makes
+    the tolerance meaningful across trajectory scales.
     """
-    f, e = structure.flows(l), structure.efforts(l)
-    total = _dot(e, f).integral(Fraction(alpha), Fraction(beta))
-    b = structure.boundary(l)
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    start = time.perf_counter()
+    f1, e1, b1 = structure.flows(l1), structure.efforts(l1), structure.boundary(l1)
+    f2, e2, b2 = structure.flows(l2), structure.efforts(l2), structure.boundary(l2)
+    sigma = [[Poly.const(c) for c in row] for row in structure.Sigma.entries]
+    bracket = _dot(b1, [_dot(row, b2) for row in sigma])
+    form = (integrate_pairing(f1, e1, f2, e2, alpha, beta)
+            - (bracket(beta) - bracket(alpha)))
+    middle = time.perf_counter()
+    total = _dot(e1, f1).integral(alpha, beta)
+    bracket = _dot(b1, [_dot(row, b1) for row in sigma])
+    balance = total - (bracket(beta) - bracket(alpha)) / 2
+    deviation = None
+    if split is not None:
 
-    def boundary_power(point) -> float:
-        f_delta, e_delta = split.apply([p(point) for p in b])
-        return sum(x * y for x, y in zip(e_delta, f_delta))
+        def boundary_power(point) -> float:
+            f_delta, e_delta = split.apply([p(point) for p in b1])
+            return sum(x * y for x, y in zip(e_delta, f_delta))
 
-    at_beta = boundary_power(beta)
-    at_alpha = boundary_power(alpha)
-    scale = max(1.0, abs(float(total)), abs(at_beta), abs(at_alpha))
-    return abs(float(total) - (at_beta - at_alpha)) / scale
+        at_beta = boundary_power(beta)
+        at_alpha = boundary_power(alpha)
+        scale = max(1.0, abs(float(total)), abs(at_beta), abs(at_alpha))
+        deviation = abs(float(total) - (at_beta - at_alpha)) / scale
+    return form, balance, deviation, middle - start, time.perf_counter() - middle
+
+
+def _optional_split(sigma, split_tolerance: float) -> PowerSplit | None:
+    try:
+        return canonical_power_split(sigma, split_tolerance)
+    except UnbalancedSignatureError:
+        return None
 
 
 def check_dirac_form(structure: BoundaryStructure, l1, l2, alpha, beta
                      ) -> VerificationReport:
     """Residual of the full bilinear balance for one trajectory pair:
     interior pairing integral minus the boundary bracket difference."""
-    start = time.perf_counter()
-    residual = _dirac_form_residual(structure, l1, l2, alpha, beta)
+    form, _, _, form_s, _ = _dirac_trial(structure, None, l1, l2, alpha, beta)
     return VerificationReport("dirac_form", structure.describe(), 1,
-                              (residual,), time.perf_counter() - start)
+                              (form,), form_s)
 
 
 def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
@@ -197,19 +197,13 @@ def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
     when the signature is balanced the float split deviation is reported
     against the split tolerance as well."""
     start = time.perf_counter()
-    residual = _power_balance_residual(structure, l, alpha, beta)
-    deviations: tuple[float, ...] = ()
-    tolerance = None
-    try:
-        split = canonical_power_split(structure.Sigma, split_tolerance)
-    except UnbalancedSignatureError:
-        split = None
-    if split is not None:
-        deviations = (_power_split_deviation(structure, split, l, alpha, beta),)
-        tolerance = split_tolerance
+    split = _optional_split(structure.Sigma, split_tolerance)
+    _, balance, deviation, _, _ = _dirac_trial(structure, split, l, l,
+                                               alpha, beta)
     return VerificationReport("power_balance", structure.describe(), 1,
-                              (residual,), time.perf_counter() - start,
-                              deviations, tolerance)
+                              (balance,), time.perf_counter() - start,
+                              () if split is None else (deviation,),
+                              None if split is None else split_tolerance)
 
 
 def derivative_rule_check(phi: TwoVarPolyMatrix, v, w) -> VerificationReport:
@@ -259,35 +253,22 @@ def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
     """Bilinear-balance and power-balance checks over random trajectories.
 
     Returns one aggregated report per check.  With a balanced signature the
-    power-balance report also carries one split deviation per trial.  Each
-    report's `elapsed` covers its own residuals (the split counts towards
-    the power balance), not the drawing of trajectories.
+    power-balance report also carries one split deviation per trial.  The
+    form report's `elapsed` includes evaluating each latent once, the power
+    balance's includes the split; neither includes drawing trajectories.
     """
     start = time.perf_counter()
-    form_residuals = []
-    balance_residuals = []
-    deviations = []
-    try:
-        split = canonical_power_split(structure.Sigma, split_tolerance)
-    except UnbalancedSignatureError:
-        split = None
-    form_elapsed, balance_elapsed = 0.0, time.perf_counter() - start
-    for l1, l2, a, b in _latent_trials(structure.rep.m, trials, degrees, seed,
-                                       interval):
-        t0 = time.perf_counter()
-        form_residuals.append(_dirac_form_residual(structure, l1, l2, a, b))
-        t1 = time.perf_counter()
-        balance_residuals.append(_power_balance_residual(structure, l1, a, b))
-        if split is not None:
-            deviations.append(_power_split_deviation(structure, split, l1, a, b))
-        form_elapsed += t1 - t0
-        balance_elapsed += time.perf_counter() - t1
+    split = _optional_split(structure.Sigma, split_tolerance)
+    split_elapsed = time.perf_counter() - start
+    rows = [_dirac_trial(structure, split, *trial) for trial in
+            _latent_trials(structure.rep.m, trials, degrees, seed, interval)]
     form = VerificationReport("dirac_form", structure.describe(), trials,
-                              tuple(form_residuals), form_elapsed)
+                              tuple(r[0] for r in rows), sum(r[3] for r in rows))
     balance = VerificationReport(
         "power_balance", structure.describe(), trials,
-        tuple(balance_residuals), balance_elapsed,
-        tuple(deviations), split_tolerance if split is not None else None)
+        tuple(r[1] for r in rows), split_elapsed + sum(r[4] for r in rows),
+        tuple(r[2] for r in rows if split is not None),
+        None if split is None else split_tolerance)
     return form, balance
 
 
@@ -297,9 +278,13 @@ def constrained_suite(structure: ConstrainedStructure,
     """Constrained balance residuals over pairs of random exact solutions."""
     start = time.perf_counter()
     residuals = []
-    for t, degree in enumerate(_trial_degrees(trials, degrees)):
-        s1 = constrained_sample(structure, degree, _sub_seed(seed, t, 0))
-        s2 = constrained_sample(structure, degree, _sub_seed(seed, t, 1))
+    trial_degrees = _trial_degrees(trials, degrees)
+    bases = {d: polynomial_kernel_basis(structure.G, d)
+             for d in dict.fromkeys(trial_degrees)}
+    for t, degree in enumerate(trial_degrees):
+        basis = bases[degree]
+        s1 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 0))
+        s2 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 1))
         if interval is None:
             rng = random.Random(_sub_seed(seed, t, 2))
             a, b = _random_interval(rng)

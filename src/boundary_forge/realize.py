@@ -20,8 +20,15 @@ A unique solution automatically satisfies the structure identities
     D = -D^T (pairing middle symmetric) or D = D^T (middle skew),
 
 with Sigma the symmetric pairing matrix in the first case and the skew
-middle matrix in the second; :func:`verify_realization_structure` reports
-the exact residuals.
+middle matrix in the second.  For a flow/effort structure, substituting
+the realization into (zeta + eta) Z(zeta)^T Sigma Z(eta) = U(zeta)^T Y(eta)
++ Y(zeta)^T U(eta) leaves a bilinear form in the rows of [Z; U] with middle
+blocks A^T Sigma + Sigma A, B^T Sigma - C and D + D^T.  A unique solution
+means those rows are linearly independent, so the blocks vanish, and
+A Sigma^{-1} is skew as Sigma is invertible; such a realization is not
+re-checked.  A state/effort realization is checked once per middle
+candidate, since that check picks the middle.
+:func:`verify_realization_structure` reports the exact residuals.
 """
 
 from __future__ import annotations
@@ -180,13 +187,15 @@ def realize(structure, swap=()) -> Realization:
 
     Accepts the output of the flow/effort pipeline or the state/effort
     pipeline.  Raises :class:`UnsolvableError` or
-    :class:`NonUniqueSolutionError` with witnesses; a returned realization
-    has had all of its structure identities verified exactly.
+    :class:`NonUniqueSolutionError` with witnesses.  The structure
+    identities of a flow/effort realization are implied by the uniqueness
+    of the solution and are not re-checked; a state/effort realization is
+    returned with the first middle candidate whose identities hold.
+    :func:`verify_realization_structure` reports them exactly.
     """
     if isinstance(structure, BoundaryStructure):
         kind = "dirac"
         z, first = structure.Z, structure.rep.N_f
-        middles = [structure.Sigma]
     elif isinstance(structure, LagrangeBoundary):
         kind = "lagrange"
         z, first = structure.W, structure.rep.N_x
@@ -233,19 +242,13 @@ def realize(structure, swap=()) -> Realization:
     # the exact solves matched every coefficient up to the top degree of
     # Z, U, s Z and Y, so s Z = A Z + B U and Y = C Z + D U hold exactly
 
-    last_report = None
+    if kind == "dirac":
+        # unique coefficient matching forces the structure identities
+        return Realization(a, b, c, d, structure.Sigma, swap, kind, z, u, y)
     for middle in middles:
         candidate = Realization(a, b, c, d, middle, swap, kind, z, u, y)
-        report = verify_realization_structure(candidate)
-        if report.all_pass:
+        if verify_realization_structure(candidate).all_pass:
             return candidate
-        last_report = report
-    if kind == "dirac":
-        # unique coefficient matching forces these identities; reaching this
-        # point means an upstream factorization bug
-        raise AssertionError(
-            f"internal error: structure identities fail for a unique "
-            f"realization:\n{last_report}")
     raise UnsolvableError(
         f"no constant skew middle matrix validates the structure identities "
         f"with swap {list(swap)}; exchanging only part of a symplectic port "

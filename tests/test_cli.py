@@ -316,3 +316,21 @@ def test_main_reads_repo_problem_files(capsys):
     capsys.readouterr()
     assert main(["check", "problems/invalid_rank_drop.json"]) == 1
     capsys.readouterr()
+
+
+def test_settings_tolerance_must_be_finite(tmp_path, capsys):
+    # json reads NaN and Infinity; an int beyond the float range is not
+    # finite either
+    for value in (float("nan"), float("inf"), 10 ** 400):
+        data = dict(COUPLING, settings={"tolerance": value})
+        with pytest.raises(ParseError, match="settings.tolerance"):
+            parse_problem_data(data)
+        assert main(["report", write_problem(tmp_path, data)]) == 2
+        assert "settings.tolerance" in capsys.readouterr().err
+
+
+def test_main_tolerance_must_be_finite(tmp_path, capsys):
+    ok = write_problem(tmp_path, COUPLING)
+    for value in ("nan", "inf", "-inf"):
+        assert main(["split", ok, "--tolerance", value]) == 2
+        assert "--tolerance" in capsys.readouterr().err
