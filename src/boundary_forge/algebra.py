@@ -3,7 +3,9 @@
 Everything in this module is computed with arbitrary-precision rational
 arithmetic (`fractions.Fraction`); no floating point enters anywhere.  All
 types are immutable after construction and all operations are pure
-functions, so values can be shared freely.
+functions, so values can be shared freely.  `RatMatrix` and `PolyMatrix`
+share one matrix body and differ only in their entry type and their own
+methods.
 
 The linear-algebra routines are written for "desk scale" inputs (matrices of
 a few dozen rows at most) and favour exactness and deterministic pivoting
@@ -130,12 +132,6 @@ class Poly:
     def variable(cls) -> "Poly":
         """The polynomial ``s``."""
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> "Poly":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls((0,) * power + (as_rat(coeff),))
 
     # -- inspection --------------------------------------------------------
 
@@ -337,15 +333,23 @@ def _dot(u, v) -> Poly:
     return sum((x * y for x, y in zip(u, v)), Poly.zero())
 
 
-class RatMatrix:
-    """Immutable matrix of exact rationals.  Zero-sized dimensions are legal."""
+class _Matrix:
+    """Body shared by :class:`RatMatrix` and :class:`PolyMatrix`.
 
-    __slots__ = ("rows", "cols", "entries")
+    A subclass names its entry coercion `_coerce` and the scalar types
+    `_scalars` it multiplies by; construction, arithmetic, stacking and the
+    protocol methods below are written once in terms of those two and
+    ``type(self)``.  Operands of different matrix classes never mix: each
+    binary operation returns ``NotImplemented`` for them.
+    """
+
+    __slots__ = ()
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ents = tuple(tuple(as_rat(v) for v in row) for row in entries)
+        coerce = self._coerce
+        ents = tuple(tuple(coerce(v) for v in row) for row in entries)
         if len(ents) != rows or any(len(r) != cols for r in ents):
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
@@ -353,29 +357,25 @@ class RatMatrix:
         object.__setattr__(self, "entries", ents)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("RatMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
+    def from_rows(cls, rows: Sequence[Sequence]):
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         return cls(len(rows), ncols, rows)
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+    def zero(cls, rows: int, cols: int):
+        z = cls._coerce(0)
+        return cls(rows, cols, [[z] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diag(cls, values: Sequence) -> "RatMatrix":
-        vals = [as_rat(v) for v in values]
-        n = len(vals)
-        return cls(n, n, [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    def identity(cls, n: int):
+        z, one = cls._coerce(0), cls._coerce(1)
+        return cls(n, n, [[one if i == j else z for j in range(n)] for i in range(n)])
 
     # -- structure ---------------------------------------------------------
 
@@ -383,16 +383,118 @@ class RatMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+    def transpose(self):
+        return type(self)(self.cols, self.rows,
+                          [[self.entries[i][j] for i in range(self.rows)]
+                           for j in range(self.cols)])
 
     @property
-    def T(self) -> "RatMatrix":
+    def T(self):
         return self.transpose()
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        return not any(any(row) for row in self.entries)
+
+    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]):
+        return type(self)(len(row_idx), len(col_idx),
+                          [[self.entries[i][j] for j in col_idx] for i in row_idx])
+
+    def take_rows(self, row_idx: Sequence[int]):
+        return self.submatrix(row_idx, range(self.cols))
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        return type(self)(self.rows, self.cols,
+                          [[a + b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.rows, self.cols, [[-v for v in row] for row in self.entries])
+
+    def __mul__(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
+            if self.cols != other.rows:
+                raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+            bt = other.transpose().entries
+            zero = cls._coerce(0)
+            return cls(self.rows, other.cols,
+                       [[sum((a * b for a, b in zip(row, col)), zero) for col in bt]
+                        for row in self.entries])
+        if isinstance(other, cls._scalars):
+            c = cls._coerce(other)
+            return cls(self.rows, self.cols, [[v * c for v in row] for row in self.entries])
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, self._scalars):
+            return self * other
+        return NotImplemented
+
+    # -- stacking ----------------------------------------------------------
+
+    @classmethod
+    def hstack(cls, mats: Sequence):
+        mats = list(mats)
+        if not mats:
+            raise ValueError("hstack of nothing")
+        rows = mats[0].rows
+        if any(m.rows != rows for m in mats):
+            raise ValueError("hstack needs equal row counts")
+        return cls(rows, sum(m.cols for m in mats),
+                   [[v for m in mats for v in m.entries[i]] for i in range(rows)])
+
+    @classmethod
+    def vstack(cls, mats: Sequence):
+        mats = list(mats)
+        if not mats:
+            raise ValueError("vstack of nothing")
+        cols = mats[0].cols
+        if any(m.cols != cols for m in mats):
+            raise ValueError("vstack needs equal column counts")
+        return cls(sum(m.rows for m in mats), cols,
+                   [row for m in mats for row in m.entries])
+
+    # -- protocol ----------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.shape == other.shape and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.shape, self.entries))
+
+    def __str__(self):
+        return "[" + "; ".join("[" + ", ".join(str(v) for v in row) + "]"
+                               for row in self.entries) + "]"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.rows}x{self.cols} {self})"
+
+
+class RatMatrix(_Matrix):
+    """Immutable matrix of exact rationals.  Zero-sized dimensions are legal."""
+
+    __slots__ = ("rows", "cols", "entries")
+    _coerce = staticmethod(as_rat)
+    _scalars = (int, Fraction)
+
+    @classmethod
+    def diag(cls, values: Sequence) -> "RatMatrix":
+        vals = [as_rat(v) for v in values]
+        n = len(vals)
+        return cls(n, n, [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -404,86 +506,12 @@ class RatMatrix:
             self.entries[i][j] == -self.entries[j][i]
             for i in range(self.rows) for j in range(i, self.cols))
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
-        return RatMatrix(len(row_idx), len(col_idx),
-                         [[self.entries[i][j] for j in col_idx] for i in row_idx])
-
-    def take_rows(self, row_idx: Sequence[int]) -> "RatMatrix":
-        return self.submatrix(row_idx, range(self.cols))
-
     def max_abs(self) -> Fraction:
         """Largest absolute entry (zero for empty matrices)."""
         return max((abs(v) for row in self.entries for v in row), default=_ZERO)
 
     def to_float(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.entries]
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return RatMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return RatMatrix(self.rows, self.cols, [[-v for v in row] for row in self.entries])
-
-    def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            if self.cols != other.rows:
-                raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            bt = other.transpose().entries
-            return RatMatrix(self.rows, other.cols,
-                             [[sum((a * b for a, b in zip(row, col)), _ZERO) for col in bt]
-                              for row in self.entries])
-        if isinstance(other, (int, Fraction)):
-            c = as_rat(other)
-            return RatMatrix(self.rows, self.cols, [[v * c for v in row] for row in self.entries])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def apply_vec(self, vec: Sequence) -> tuple[Fraction, ...]:
-        vals = [as_rat(v) for v in vec]
-        if len(vals) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, vals)), _ZERO) for row in self.entries)
-
-    # -- stacking ----------------------------------------------------------
-
-    @classmethod
-    def hstack(cls, mats: Sequence["RatMatrix"]) -> "RatMatrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("hstack of nothing")
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
-            raise ValueError("hstack needs equal row counts")
-        return cls(rows, sum(m.cols for m in mats),
-                   [[v for m in mats for v in m.entries[i]] for i in range(rows)])
-
-    @classmethod
-    def vstack(cls, mats: Sequence["RatMatrix"]) -> "RatMatrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of nothing")
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("vstack needs equal column counts")
-        return cls(sum(m.rows for m in mats), cols,
-                   [row for m in mats for row in m.entries])
 
     @classmethod
     def block_diag(cls, mats: Sequence["RatMatrix"]) -> "RatMatrix":
@@ -517,149 +545,35 @@ class RatMatrix:
             raise ValueError("matrix is singular")
         return RatMatrix(n, n, [row[n:] for row in reduced])
 
-    # -- protocol ----------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("RatMatrix", self.shape, self.entries))
-
-    def __str__(self):
-        return "[" + "; ".join("[" + ", ".join(str(v) for v in row) + "]"
-                               for row in self.entries) + "]"
-
-    def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols} {self})"
-
-
-class PolyMatrix:
+class PolyMatrix(_Matrix):
     """Immutable matrix with polynomial entries, used both as a plain matrix
     of polynomials in an indeterminate ``s`` and as a matrix differential
     operator via :meth:`apply`.
     """
 
     __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        ents = tuple(tuple(_as_poly(v) for v in row) for row in entries)
-        if len(ents) != rows or any(len(r) != cols for r in ents):
-            raise ValueError(f"entry grid does not match shape {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ents)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("PolyMatrix is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "PolyMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls(rows, cols, [[Poly.zero()] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(n, n, [[Poly.one() if i == j else Poly.zero() for j in range(n)]
-                          for i in range(n)])
+    _coerce = staticmethod(_as_poly)
+    _scalars = (Poly, int, Fraction)
 
     @classmethod
     def from_const(cls, mat: RatMatrix) -> "PolyMatrix":
         return cls(mat.rows, mat.cols, [[Poly.const(v) for v in row] for row in mat.entries])
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
 
     @property
     def degree(self):
         """Maximal entry degree; ``NEG_INF`` for a zero (or empty) matrix."""
         return max((e.degree for row in self.entries for e in row), default=NEG_INF)
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.cols, self.rows,
-                          [[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)])
-
-    @property
-    def T(self) -> "PolyMatrix":
-        return self.transpose()
-
     def para(self) -> "PolyMatrix":
         """Entrywise substitution ``s -> -s``."""
         return PolyMatrix(self.rows, self.cols,
                           [[e.para() for e in row] for row in self.entries])
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
-
     def coeff(self, k: int) -> RatMatrix:
         """Matrix coefficient of ``s**k``."""
         return RatMatrix(self.rows, self.cols,
                          [[e.coeff(k) for e in row] for row in self.entries])
-
-    def eval_at(self, x) -> RatMatrix:
-        x = as_rat(x)
-        return RatMatrix(self.rows, self.cols,
-                         [[e(x) for e in row] for row in self.entries])
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(len(row_idx), len(col_idx),
-                          [[self.entries[i][j] for j in col_idx] for i in row_idx])
-
-    def take_rows(self, row_idx: Sequence[int]) -> "PolyMatrix":
-        return self.submatrix(row_idx, range(self.cols))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return PolyMatrix(self.rows, self.cols,
-                          [[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyMatrix(self.rows, self.cols, [[-e for e in row] for row in self.entries])
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.cols != other.rows:
-                raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            bt = other.transpose().entries
-            zero = Poly.zero()
-            return PolyMatrix(self.rows, other.cols,
-                              [[sum((a * b for a, b in zip(row, col)), zero) for col in bt]
-                               for row in self.entries])
-        if isinstance(other, (Poly, int, Fraction)):
-            p = _as_poly(other)
-            return PolyMatrix(self.rows, self.cols,
-                              [[e * p for e in row] for row in self.entries])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Poly, int, Fraction)):
-            return self * other
-        return NotImplemented
 
     # -- operator action ----------------------------------------------------
 
@@ -708,47 +622,6 @@ class PolyMatrix:
             term = a * minor.det()
             total = total + term if i % 2 == 0 else total - term
         return total
-
-    # -- stacking ------------------------------------------------------------
-
-    @classmethod
-    def hstack(cls, mats: Sequence["PolyMatrix"]) -> "PolyMatrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("hstack of nothing")
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
-            raise ValueError("hstack needs equal row counts")
-        return cls(rows, sum(m.cols for m in mats),
-                   [[v for m in mats for v in m.entries[i]] for i in range(rows)])
-
-    @classmethod
-    def vstack(cls, mats: Sequence["PolyMatrix"]) -> "PolyMatrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of nothing")
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("vstack needs equal column counts")
-        return cls(sum(m.rows for m in mats), cols,
-                   [list(row) for m in mats for row in m.entries])
-
-    # -- protocol -------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("PolyMatrix", self.shape, self.entries))
-
-    def __str__(self):
-        return "[" + "; ".join("[" + ", ".join(str(e) for e in row) + "]"
-                               for row in self.entries) + "]"
-
-    def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols} {self})"
 
 
 @dataclass(frozen=True)
@@ -902,6 +775,17 @@ def inertia_congruence(s: RatMatrix) -> tuple[Inertia, RatMatrix]:
     Pivot scan order is deterministic: first nonzero diagonal entry, else
     first nonzero off-diagonal pair in lexicographic order.
     """
+    inertia, t, _ = _congruence_reduce(s)
+    return inertia, t
+
+
+def _congruence_reduce(s: RatMatrix) -> tuple[Inertia, RatMatrix, RatMatrix]:
+    """:func:`inertia_congruence` plus the reduced matrix ``t.T @ s @ t``.
+
+    Every step applies one elementary column operation ``E`` to ``t`` and
+    the congruence ``E.T @ a @ E`` to the working copy ``a`` of ``s``, so
+    ``a == t.T @ s @ t`` holds exactly after each step.
+    """
     if not s.is_symmetric():
         raise NotSymmetricError("inertia_congruence requires a symmetric matrix")
     n = s.rows
@@ -960,7 +844,7 @@ def inertia_congruence(s: RatMatrix) -> tuple[Inertia, RatMatrix]:
         pos += 1
         neg += 1
         k += 2
-    return Inertia(pos, neg, n - pos - neg), RatMatrix(n, n, t)
+    return Inertia(pos, neg, n - pos - neg), RatMatrix(n, n, t), RatMatrix(n, n, a)
 
 
 def rank_factorization(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:

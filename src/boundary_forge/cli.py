@@ -37,6 +37,7 @@ from .dirac import (
     BoundaryStructure,
     ConditionReport,
     DiracPair,
+    SplitToleranceError,
     UnbalancedSignatureError,
     boundary_structure,
     canonical_power_split,
@@ -254,6 +255,10 @@ def parse_problem(path: str) -> ProblemFile:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested too deeply to decode") from exc
     return parse_problem_data(data, where="problem")
 
 
@@ -398,22 +403,25 @@ def _split_section(built: _Built, tolerance: float, two_point: bool,
                    documenting: bool) -> tuple[dict, bool]:
     """Split data plus a pass verdict.  With `documenting` an unbalanced
     one-point split is described rather than failed."""
-    section: dict = {"tolerance": tolerance}
-    if two_point:
-        section["two_point"] = True
-        section.update(_two_point_json(built.structure, tolerance))
-        return section, True
-    section["two_point"] = False
+    section: dict = {"tolerance": tolerance, "two_point": two_point}
     try:
-        split = canonical_power_split(built.structure.Sigma, tolerance)
-    except UnbalancedSignatureError as exc:
-        section["balanced"] = False
-        section["inertia"] = list(exc.inertia.as_tuple())
-        section["witness"] = str(exc)
-        if documenting:
+        if two_point:
+            section.update(_two_point_json(built.structure, tolerance))
+            return section, True
+        try:
+            split = canonical_power_split(built.structure.Sigma, tolerance)
+        except UnbalancedSignatureError as exc:
+            section["balanced"] = False
+            section["inertia"] = list(exc.inertia.as_tuple())
+            section["witness"] = str(exc)
+            if not documenting:
+                return section, False
             section["two_point_fallback"] = _two_point_json(built.structure,
                                                             tolerance)
             return section, True
+    except SplitToleranceError as exc:
+        # a tolerance below the roundoff of the float split
+        section.update(failed=True, witness=str(exc))
         return section, False
     section["balanced"] = True
     section.update(_split_json(split))
@@ -469,9 +477,14 @@ def _verification_section(problem: ProblemFile, built: _Built,
     degree = options.degree if options.degree is not None else settings.get("degree")
     degrees = (degree,) if degree is not None else DEFAULT_DEGREES
     interval = options.interval or settings.get("interval")
+    section: dict = {"trials": trials, "seed": seed, "degrees": list(degrees)}
     if problem.kind in ("dirac", "skew_adjoint"):
-        reports = dirac_suite(built.structure, trials, degrees, seed,
-                              interval, tolerance)
+        try:
+            reports = dirac_suite(built.structure, trials, degrees, seed,
+                                  interval, tolerance)
+        except SplitToleranceError as exc:
+            section.update(failed=True, witness=str(exc), checks=[])
+            return section, False
     elif problem.kind == "constrained":
         reports = constrained_suite(built.constrained, trials, degrees, seed,
                                     interval)
@@ -495,8 +508,8 @@ def _verification_section(problem: ProblemFile, built: _Built,
             entry["split_tolerance"] = r.split_tolerance
         entries.append(entry)
         ok = ok and r.all_pass
-    return {"trials": trials, "seed": seed, "degrees": list(degrees),
-            "checks": entries}, ok
+    section["checks"] = entries
+    return section, ok
 
 
 # dispatch -----------------------------------------------------------------------
@@ -598,7 +611,9 @@ def render_text(report: dict) -> str:
             lines.extend(_render_matrix_lines("W", boundary["W"]))
     split = report.get("split")
     if split:
-        if split.get("two_point"):
+        if split.get("failed"):
+            lines.append(f"split: FAILED — {split['witness']}")
+        elif split.get("two_point"):
             lines.append(f"split (two-point): p={split['p']} "
                          f"residual={split['residual']:.3e}")
         elif split.get("balanced"):
@@ -626,6 +641,8 @@ def render_text(report: dict) -> str:
         lines.append(f"verification: {verification['trials']} trials, "
                      f"degrees {verification['degrees']}, "
                      f"seed {verification['seed']}")
+        if verification.get("failed"):
+            lines.append(f"  FAILED — {verification['witness']}")
         for entry in verification["checks"]:
             tag = "pass" if entry["passed"] else "FAIL"
             extra = ""

@@ -26,13 +26,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import (
-    Inertia,
     NotSkewError,
     NotSymmetricError,
     Poly,
     PolyMatrix,
     RatMatrix,
-    inertia_congruence,
+    _congruence_reduce,
     rank_factorization,
     skew_canonical_congruence,
 )
@@ -380,10 +379,9 @@ def factor_symmetric(phi: TwoVarPolyMatrix) -> tuple[PolyMatrix, RatMatrix]:
     if not phi.is_symmetric():
         raise NotSymmetricError("two-variable matrix is not symmetric")
     coeff = phi.to_coeff()
-    inertia, t = inertia_congruence(coeff.mat)
+    inertia, t, reduced = _congruence_reduce(coeff.mat)
     n = inertia.positive + inertia.negative
-    d_full = t.transpose() * coeff.mat * t
-    sigma = d_full.submatrix(range(n), range(n))
+    sigma = reduced.submatrix(range(n), range(n))
     r = t.inverse()
     z = _poly_matrix_from_coeff_rows(r.take_rows(range(n)), phi.p)
     _check_reconstruction(phi, z, sigma, z)

@@ -334,3 +334,74 @@ def test_main_tolerance_must_be_finite(tmp_path, capsys):
     for value in ("nan", "inf", "-inf"):
         assert main(["split", ok, "--tolerance", value]) == 2
         assert "--tolerance" in capsys.readouterr().err
+
+
+def test_parse_problem_names_file_too_deep_to_decode(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"kind": "skew_adjoint", "J": ' + "[" * 100000)
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse_problem(str(deep))
+    assert str(deep) in str(err.value)
+    assert main(["check", str(deep)]) == 2
+    assert str(deep) in capsys.readouterr().err
+
+
+def test_parse_problem_names_non_utf8_file(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"kind": "skew_adjoint", "J": [[["\xff"]]]}')
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        parse_problem(str(latin))
+    assert str(latin) in str(err.value)
+    assert main(["check", str(latin)]) == 2
+    assert str(latin) in capsys.readouterr().err
+
+
+TINY_TOLERANCE_WITNESS = "exceeds tolerance 1.000e-300"
+
+
+@pytest.mark.parametrize("subcommand", ["split", "verify", "report"])
+def test_tolerance_below_roundoff_is_reported(tmp_path, capsys, subcommand):
+    ok = write_problem(tmp_path, COUPLING)
+    args = [subcommand, ok, "--trials", "2", "--tolerance", "1e-300"]
+    assert main(args + ["--format", "structured"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_status"] == 1
+    section = report["split" if subcommand == "split" else "verification"]
+    assert section["failed"] is True
+    assert "split residual" in section["witness"]
+    assert TINY_TOLERANCE_WITNESS in section["witness"]
+    if subcommand == "report":
+        assert report["split"]["failed"] is True
+        assert "realization" in report
+    assert main(args) == 1
+    text = capsys.readouterr().out
+    assert "FAILED" in text and TINY_TOLERANCE_WITNESS in text
+
+
+def test_settings_tolerance_below_roundoff_is_reported(tmp_path, capsys):
+    data = dict(COUPLING, settings={"tolerance": 1e-300})
+    assert main(["report", write_problem(tmp_path, data), "--trials", "2"]) == 1
+    assert TINY_TOLERANCE_WITNESS in capsys.readouterr().out
+
+
+def test_tolerance_below_roundoff_in_two_point_and_fallback_splits():
+    # the doubled pairing of a one-port structure has a nonzero residual
+    problem = parse_problem_data(SCALAR_DERIVATIVE)
+    options = RunOptions(trials=2, tolerance=1e-300)
+    two_point = run("split", problem, RunOptions(two_point=True, tolerance=1e-300))
+    assert two_point["exit_status"] == 1
+    assert two_point["split"]["failed"] is True
+    report = run("report", problem, options)
+    assert report["split"]["failed"] is True
+    assert report["split"]["balanced"] is False
+    assert TINY_TOLERANCE_WITNESS in report["split"]["witness"]
+    assert TINY_TOLERANCE_WITNESS in render_text(report)
+
+
+def test_default_tolerance_report_has_no_failure_fields():
+    problem = parse_problem_data(COUPLING)
+    report = run("report", problem, RunOptions(trials=2))
+    assert "failed" not in report["split"]
+    assert "failed" not in report["verification"]
+    assert list(report["verification"]) == ["trials", "seed", "degrees",
+                                            "checks"]
