@@ -33,7 +33,6 @@ from .twovar import (
     CoeffMatrix,
     DimensionMismatchError,
     NotDivisibleError,
-    OddRankError,
     TwoVarPolyMatrix,
     bdf_apply,
     div_zeta_plus_eta,

@@ -333,6 +333,52 @@ def _dot(u, v) -> Poly:
     return sum((x * y for x, y in zip(u, v)), Poly.zero())
 
 
+def _derivatives(vec, depth: int) -> list[list[Poly]]:
+    """Each entry of `vec` as a polynomial, with its first `depth`
+    derivatives."""
+    table = []
+    for v in vec:
+        ds = [_as_poly(v)]
+        for _ in range(depth):
+            ds.append(ds[-1].deriv())
+        table.append(ds)
+    return table
+
+
+def _bilinear(x, middle: "RatMatrix", y) -> Fraction:
+    """``x^T M y`` for rational vectors, multiplying only the nonzero
+    entries of the constant matrix ``M``."""
+    return sum((xi * c * y[j] for xi, row in zip(x, middle.entries)
+                for j, c in enumerate(row) if c), _ZERO)
+
+
+def _balance_residual(first, second, middle: "RatMatrix", alpha, beta,
+                      sign: int = 1) -> Fraction:
+    """Exact residual of one balance law over ``[alpha, beta]``:
+
+        int (u1 . v2 + sign u2 . v1) dz - [w1^T M w2]_alpha^beta
+
+    for the ``(u, v, w)`` polynomial vector triples `first` and `second`
+    and the constant middle matrix ``M``.  The boundary vectors are
+    evaluated at the two endpoints before they meet ``M``: evaluation at a
+    point is a ring homomorphism, so this is exactly the endpoint
+    difference of the polynomial bracket ``w1^T M w2``.
+    """
+    u1, v1, w1 = first
+    u2, v2, w2 = second
+    interior = _dot(u1, v2)
+    # on the diagonal the two pairings coincide
+    swapped = interior if second is first else _dot(u2, v1)
+    interior = interior + swapped if sign > 0 else interior - swapped
+
+    def bracket(point) -> Fraction:
+        x = [w(point) for w in w1]
+        y = x if w2 is w1 else [w(point) for w in w2]
+        return _bilinear(x, middle, y)
+
+    return interior.integral(alpha, beta) - (bracket(beta) - bracket(alpha))
+
+
 class _Matrix:
     """Body shared by :class:`RatMatrix` and :class:`PolyMatrix`.
 
@@ -581,17 +627,10 @@ class PolyMatrix(_Matrix):
         """Apply this matrix as the differential operator ``P(d/dz)`` to a
         vector of polynomial functions of ``z``.
         """
-        vals = [_as_poly(v) for v in vec]
-        if len(vals) != self.cols:
+        if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        # precompute derivatives of each component up to the needed order
         max_deg = int(self.degree) if self.entries and self.degree != NEG_INF else 0
-        derivs = []
-        for v in vals:
-            ds = [v]
-            for _ in range(max_deg):
-                ds.append(ds[-1].deriv())
-            derivs.append(ds)
+        derivs = _derivatives(vec, max_deg)
         out = []
         for row in self.entries:
             acc = Poly.zero()
@@ -872,11 +911,6 @@ def skew_canonical_congruence(s: RatMatrix) -> tuple[int, RatMatrix]:
     if not s.is_skew():
         raise NotSkewError("skew_canonical_congruence requires a skew matrix")
     n = s.rows
-
-    def form(x: list[Fraction], y: list[Fraction]) -> Fraction:
-        return sum((x[i] * s.entries[i][j] * y[j]
-                    for i in range(n) for j in range(n) if s.entries[i][j] != 0), _ZERO)
-
     remaining: list[list[Fraction]] = [
         [_ONE if i == j else _ZERO for i in range(n)] for j in range(n)]
     us: list[list[Fraction]] = []
@@ -885,7 +919,7 @@ def skew_canonical_congruence(s: RatMatrix) -> tuple[int, RatMatrix]:
         found = None
         for ii in range(len(remaining)):
             for jj in range(ii + 1, len(remaining)):
-                if form(remaining[ii], remaining[jj]) != 0:
+                if _bilinear(remaining[ii], s, remaining[jj]) != 0:
                     found = (ii, jj)
                     break
             if found:
@@ -895,12 +929,12 @@ def skew_canonical_congruence(s: RatMatrix) -> tuple[int, RatMatrix]:
         ii, jj = found
         v = remaining.pop(jj)
         u = remaining.pop(ii)
-        c = form(u, v)
+        c = _bilinear(u, s, v)
         v = [x / c for x in v]
         new_rest = []
         for w in remaining:
-            bu = form(u, w)
-            bv = form(v, w)
+            bu = _bilinear(u, s, w)
+            bv = _bilinear(v, s, w)
             new_rest.append([wx - bu * vx + bv * ux for wx, vx, ux in zip(w, v, u)])
         remaining = new_rest
         us.append(u)

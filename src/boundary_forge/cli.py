@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import dataclass
@@ -39,8 +40,8 @@ from .dirac import (
     DiracPair,
     SplitToleranceError,
     UnbalancedSignatureError,
+    _power_split,
     boundary_structure,
-    canonical_power_split,
     dirac_condition_reports,
     skew_adjoint_structure,
     two_point_form,
@@ -125,18 +126,23 @@ class RunOptions:
 # problem parsing ---------------------------------------------------------------
 
 
+# Errors quote offending values through `reprlib`, which shortens long
+# strings, numbers and arrays, so one bad entry gives one short line.
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ParseError(f"{where}: expected a rational string, got {value!r}")
+        raise ParseError(f"{where}: expected a rational string, "
+                         f"got {reprlib.repr(value)}")
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where}: not a rational number: {value!r} ({exc})") from exc
+        raise ParseError(f"{where}: not a rational number: "
+                         f"{reprlib.repr(value)}") from exc
 
 
 def _parse_poly(value, where: str) -> Poly:
     if not isinstance(value, list):
-        raise ParseError(f"{where}: expected an array of coefficients, got {value!r}")
+        raise ParseError(f"{where}: expected an array of coefficients, "
+                         f"got {reprlib.repr(value)}")
     return Poly([_parse_rational(c, f"{where}[{k}]") for k, c in enumerate(value)])
 
 
@@ -203,7 +209,7 @@ def parse_problem_data(data, where: str = "problem") -> ProblemFile:
     kind = data.get("kind")
     if kind not in KIND_MATRICES:
         raise ParseError(f"{where}.kind: expected one of "
-                         f"{sorted(KIND_MATRICES)}, got {kind!r}")
+                         f"{sorted(KIND_MATRICES)}, got {reprlib.repr(kind)}")
     required = KIND_MATRICES[kind]
     known = set(required) | {"kind", "settings"}
     for key in data:
@@ -224,12 +230,13 @@ def _check_shapes(kind: str, matrices: dict) -> None:
         if m.rows != m.cols:
             raise ShapeError(f"{name}: must be square, got {m.rows}x{m.cols}")
 
-    if kind == "dirac":
-        square("F")
-        square("E")
-        if matrices["F"].shape != matrices["E"].shape:
-            raise ShapeError(f"F and E must have equal size, got "
-                             f"{matrices['F'].shape} and {matrices['E'].shape}")
+    if kind in ("dirac", "lagrange"):
+        first, second = KIND_MATRICES[kind]
+        square(first)
+        square(second)
+        if matrices[first].shape != matrices[second].shape:
+            raise ShapeError(f"{first} and {second} must have equal size, got "
+                             f"{matrices[first].shape} and {matrices[second].shape}")
     elif kind == "skew_adjoint":
         square("J")
     elif kind == "constrained":
@@ -237,12 +244,6 @@ def _check_shapes(kind: str, matrices: dict) -> None:
         if matrices["G"].cols != matrices["J"].rows:
             raise ShapeError(f"G: width {matrices['G'].cols} does not match "
                              f"the effort dimension {matrices['J'].rows}")
-    elif kind == "lagrange":
-        square("P")
-        square("S")
-        if matrices["P"].shape != matrices["S"].shape:
-            raise ShapeError(f"P and S must have equal size, got "
-                             f"{matrices['P'].shape} and {matrices['S'].shape}")
 
 
 def parse_problem(path: str) -> ProblemFile:
@@ -266,8 +267,7 @@ def parse_problem(path: str) -> ProblemFile:
 
 
 def _frac_str(value: Fraction) -> str:
-    value = Fraction(value)
-    return str(value)
+    return str(Fraction(value))
 
 
 def _poly_json(p: Poly) -> list:
@@ -409,7 +409,8 @@ def _split_section(built: _Built, tolerance: float, two_point: bool,
             section.update(_two_point_json(built.structure, tolerance))
             return section, True
         try:
-            split = canonical_power_split(built.structure.Sigma, tolerance)
+            split = _power_split(built.structure.Sigma,
+                                 built.structure.inertia, tolerance)
         except UnbalancedSignatureError as exc:
             section["balanced"] = False
             section["inertia"] = list(exc.inertia.as_tuple())
@@ -428,20 +429,13 @@ def _split_section(built: _Built, tolerance: float, two_point: bool,
     return section, True
 
 
-def _realize_target(problem: ProblemFile, built: _Built):
-    if problem.kind == "lagrange":
-        return built.lagrange
-    return built.structure
-
-
 def _realization_section(target, swap: tuple[int, ...] | None
                          ) -> tuple[dict, bool]:
     section: dict = {}
     try:
         if swap is None:
-            found = partition_search(target)
+            realization = partition_search(target).realization
             section["swap_searched"] = True
-            realization = realize(target, swap=found)
         else:
             realization = realize(target, swap=swap)
     except (UnsolvableError, NonUniqueSolutionError, NoneFoundError) as exc:
@@ -554,8 +548,8 @@ def run(subcommand: str, problem: ProblemFile, options: RunOptions) -> dict:
             passed = passed and ok
 
     if built.ok and subcommand in ("realize", "report"):
-        section, ok = _realization_section(_realize_target(problem, built),
-                                           options.swap)
+        target = built.lagrange if problem.kind == "lagrange" else built.structure
+        section, ok = _realization_section(target, options.swap)
         report["realization"] = section
         passed = passed and ok
 
@@ -724,10 +718,7 @@ def main(argv=None) -> int:
             tolerance=args.tolerance,
         )
         report = run(args.subcommand, problem, options)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "structured":

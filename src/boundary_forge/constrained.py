@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, PolyMatrix, RatMatrix, _dot, polynomial_kernel_basis
+from .algebra import Poly, PolyMatrix, RatMatrix, _balance_residual, polynomial_kernel_basis
 from .dirac import BoundaryStructure, _skew_adjoint_boundary, validate_skew_adjoint
 from .twovar import TwoVarPolyMatrix, div_zeta_plus_eta, factor_general
 
@@ -113,8 +113,8 @@ def constrained_boundary(J: PolyMatrix, G: PolyMatrix) -> ConstrainedStructure:
                          f"effort dimension {J.rows}")
     j_structure = _skew_adjoint_boundary(J)
     g_adj = G.transpose().para()  # G(-s)^T, the formal adjoint acting on lam
-    delta = (TwoVarPolyMatrix.from_eta(g_adj)
-             - TwoVarPolyMatrix.from_zeta(G.transpose()))
+    delta = (TwoVarPolyMatrix.outer(PolyMatrix.identity(G.cols), g_adj)
+             - TwoVarPolyMatrix.outer(G, PolyMatrix.identity(G.rows)))
     xi = div_zeta_plus_eta(delta)
     z_g, v_g = factor_general(xi)
     pi_g = RatMatrix.identity(z_g.rows)
@@ -197,23 +197,19 @@ def constrained_balance_form(structure: ConstrainedStructure,
           - [b_G2^T Pi_G c_G1]_a^b  - [b_G1^T Pi_G c_G2]_a^b
 
     computed in rational arithmetic; zero for every pair of constrained
-    solutions.
+    solutions.  The three brackets are the one form w1^T M w2 on
+    w = (Z_J e; Z_G e; V_G lam) with M = Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]].
     """
-    a, b = Fraction(interval[0]), Fraction(interval[1])
-    integrand = (_dot(sample1.effort, sample2.flow)
-                 + _dot(sample2.effort, sample1.flow))
-    total = integrand.integral(a, b)
+    zero = RatMatrix.zero(structure.n_g, structure.n_g)
+    middle = RatMatrix.block_diag([structure.Sigma_J, RatMatrix.vstack([
+        RatMatrix.hstack([zero, structure.Pi_G]),
+        RatMatrix.hstack([structure.Pi_G.transpose(), zero])])])
 
-    b_j1 = structure.Z_J.apply(sample1.effort)
-    b_j2 = structure.Z_J.apply(sample2.effort)
-    sigma_bj2 = [_dot(row, b_j2) for row in structure.Sigma_J.entries]
-    j_bracket = _dot(b_j1, sigma_bj2)
+    def latent(sample: ConstrainedSample):
+        w = (structure.Z_J.apply(sample.effort)
+             + structure.Z_G.apply(sample.effort)
+             + structure.V_G.apply(sample.multiplier))
+        return sample.effort, sample.flow, w
 
-    b_g1 = structure.Z_G.apply(sample1.effort)
-    b_g2 = structure.Z_G.apply(sample2.effort)
-    c_g1 = structure.V_G.apply(sample1.multiplier)
-    c_g2 = structure.V_G.apply(sample2.multiplier)
-    g_bracket = _dot(b_g2, c_g1) + _dot(b_g1, c_g2)
-
-    boundary = (j_bracket(b) - j_bracket(a)) + (g_bracket(b) - g_bracket(a))
-    return total - boundary
+    return _balance_residual(latent(sample1), latent(sample2), middle,
+                             Fraction(interval[0]), Fraction(interval[1]))

@@ -303,6 +303,12 @@ def canonical_power_split(sigma: RatMatrix,
     its residual is measured and must stay below `tolerance`.
     """
     inertia, _ = inertia_congruence(sigma)
+    return _power_split(sigma, inertia, tolerance)
+
+
+def _power_split(sigma: RatMatrix, inertia: Inertia,
+                 tolerance: float) -> PowerSplit:
+    """:func:`canonical_power_split` given the inertia of `sigma`."""
     if inertia.zero != 0:
         raise ValueError(f"pairing matrix must be invertible, signature {inertia}")
     if not inertia.is_balanced:

@@ -6,6 +6,16 @@ and all balance residuals are exact rationals.  A residual that should
 vanish must come out as literal zero; no tolerances enter except for the
 single floating-point power-split stage, whose deviation is reported
 separately against its own tolerance.
+
+Every balance check is the one residual of `algebra._balance_residual`,
+
+    int_alpha^beta (u1 . v2 +- u2 . v1) dz - [w1^T M w2]_alpha^beta,
+
+with the relation kind supplying the (u, v, w) of a trajectory and the
+constant middle M: (efforts, flows, Z l) and Sigma for the Dirac form and
+(halved, on the diagonal) the power balance; (e, f, (Z_J e; Z_G e; V_G lam))
+and Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]] for the constrained balance; and
+(states, efforts, W l), the minus sign and -J_p for the symplectic balance.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, _dot, polynomial_kernel_basis
+from .algebra import Poly, _balance_residual, _dot, polynomial_kernel_basis
 from .constrained import (
     ConstrainedStructure,
     _random_fraction,
@@ -28,7 +38,7 @@ from .dirac import (
     BoundaryStructure,
     PowerSplit,
     UnbalancedSignatureError,
-    canonical_power_split,
+    _power_split,
 )
 from .lagrange import LagrangeBoundary, storage_balance_form
 from .twovar import TwoVarPolyMatrix, bdf_apply, mul_zeta_plus_eta
@@ -134,49 +144,64 @@ def integrate_pairing(f1, e1, f2, e2, alpha, beta) -> Fraction:
 # per-trial residuals ---------------------------------------------------------
 
 
+def _dirac_latent(structure: BoundaryStructure, latent):
+    """The (efforts, flows, boundary values) of one latent: its (u, v, w)
+    in the Dirac balance with middle Sigma."""
+    return (structure.efforts(latent), structure.flows(latent),
+            structure.boundary(latent))
+
+
+def _power_trial(structure: BoundaryStructure, split: PowerSplit | None,
+                 latent, alpha, beta) -> tuple[Fraction, float | None]:
+    """Power balance residual and split deviation (None without a split)
+    of one evaluated latent.
+
+    The power balance is the Dirac balance of the latent with itself,
+    halved.  The split lives in floating point, so its roundoff grows with
+    the size of the boundary values; dividing by the magnitude of the
+    compared terms makes the tolerance meaningful across trajectory scales.
+    """
+    balance = _balance_residual(latent, latent, structure.Sigma,
+                                alpha, beta) / 2
+    if split is None:
+        return balance, None
+    e, f, b = latent
+    total = _dot(e, f).integral(alpha, beta)
+
+    def boundary_power(point) -> float:
+        f_delta, e_delta = split.apply([p(point) for p in b])
+        return sum(x * y for x, y in zip(e_delta, f_delta))
+
+    at_beta = boundary_power(beta)
+    at_alpha = boundary_power(alpha)
+    scale = max(1.0, abs(float(total)), abs(at_beta), abs(at_alpha))
+    return balance, abs(float(total) - (at_beta - at_alpha)) / scale
+
+
 def _dirac_trial(structure: BoundaryStructure, split: PowerSplit | None,
                  l1, l2, alpha, beta):
     """One trial: (form, balance, deviation, form_s, balance_s).
 
     `form` is the bilinear balance residual of (l1, l2), `balance` the
-    power balance residual of l1 and `deviation` (None without a split) the
-    relative disagreement between the exact interior power of l1 and its
-    split boundary power difference, followed by the time of each check.
-    Each latent's flows, efforts and boundary values, and the interior
-    power of l1, are computed once; the form time includes them.  The split
-    lives in floating point, so its roundoff grows with the size of the
-    boundary values; dividing by the magnitude of the compared terms makes
-    the tolerance meaningful across trajectory scales.
+    power balance residual of l1 and `deviation` (None without a split) its
+    split deviation, followed by the time of each check.  Each latent's
+    flows, efforts and boundary values are computed once; the form time
+    includes them.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     start = time.perf_counter()
-    f1, e1, b1 = structure.flows(l1), structure.efforts(l1), structure.boundary(l1)
-    f2, e2, b2 = structure.flows(l2), structure.efforts(l2), structure.boundary(l2)
-    sigma = [[Poly.const(c) for c in row] for row in structure.Sigma.entries]
-    bracket = _dot(b1, [_dot(row, b2) for row in sigma])
-    form = (integrate_pairing(f1, e1, f2, e2, alpha, beta)
-            - (bracket(beta) - bracket(alpha)))
+    first = _dirac_latent(structure, l1)
+    form = _balance_residual(first, _dirac_latent(structure, l2),
+                             structure.Sigma, alpha, beta)
     middle = time.perf_counter()
-    total = _dot(e1, f1).integral(alpha, beta)
-    bracket = _dot(b1, [_dot(row, b1) for row in sigma])
-    balance = total - (bracket(beta) - bracket(alpha)) / 2
-    deviation = None
-    if split is not None:
-
-        def boundary_power(point) -> float:
-            f_delta, e_delta = split.apply([p(point) for p in b1])
-            return sum(x * y for x, y in zip(e_delta, f_delta))
-
-        at_beta = boundary_power(beta)
-        at_alpha = boundary_power(alpha)
-        scale = max(1.0, abs(float(total)), abs(at_beta), abs(at_alpha))
-        deviation = abs(float(total) - (at_beta - at_alpha)) / scale
+    balance, deviation = _power_trial(structure, split, first, alpha, beta)
     return form, balance, deviation, middle - start, time.perf_counter() - middle
 
 
-def _optional_split(sigma, split_tolerance: float) -> PowerSplit | None:
+def _optional_split(structure: BoundaryStructure,
+                    split_tolerance: float) -> PowerSplit | None:
     try:
-        return canonical_power_split(sigma, split_tolerance)
+        return _power_split(structure.Sigma, structure.inertia, split_tolerance)
     except UnbalancedSignatureError:
         return None
 
@@ -185,9 +210,12 @@ def check_dirac_form(structure: BoundaryStructure, l1, l2, alpha, beta
                      ) -> VerificationReport:
     """Residual of the full bilinear balance for one trajectory pair:
     interior pairing integral minus the boundary bracket difference."""
-    form, _, _, form_s, _ = _dirac_trial(structure, None, l1, l2, alpha, beta)
+    start = time.perf_counter()
+    form = _balance_residual(_dirac_latent(structure, l1),
+                             _dirac_latent(structure, l2), structure.Sigma,
+                             Fraction(alpha), Fraction(beta))
     return VerificationReport("dirac_form", structure.describe(), 1,
-                              (form,), form_s)
+                              (form,), time.perf_counter() - start)
 
 
 def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
@@ -197,9 +225,10 @@ def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
     when the signature is balanced the float split deviation is reported
     against the split tolerance as well."""
     start = time.perf_counter()
-    split = _optional_split(structure.Sigma, split_tolerance)
-    _, balance, deviation, _, _ = _dirac_trial(structure, split, l, l,
-                                               alpha, beta)
+    split = _optional_split(structure, split_tolerance)
+    balance, deviation = _power_trial(structure, split,
+                                      _dirac_latent(structure, l),
+                                      Fraction(alpha), Fraction(beta))
     return VerificationReport("power_balance", structure.describe(), 1,
                               (balance,), time.perf_counter() - start,
                               () if split is None else (deviation,),
@@ -258,7 +287,7 @@ def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
     balance's includes the split; neither includes drawing trajectories.
     """
     start = time.perf_counter()
-    split = _optional_split(structure.Sigma, split_tolerance)
+    split = _optional_split(structure, split_tolerance)
     split_elapsed = time.perf_counter() - start
     rows = [_dirac_trial(structure, split, *trial) for trial in
             _latent_trials(structure.rep.m, trials, degrees, seed, interval)]

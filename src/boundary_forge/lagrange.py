@@ -32,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, PolyMatrix, _dot, full_rank_everywhere
+from .algebra import Poly, PolyMatrix, _balance_residual, full_rank_everywhere
 from .dirac import ConditionReport
-from .twovar import TwoVarPolyMatrix, div_zeta_plus_eta, factor_skew
+from .twovar import TwoVarPolyMatrix, _j_matrix, div_zeta_plus_eta, factor_skew
 
 __all__ = [
     "SymmetryConditionFailed",
@@ -182,15 +182,12 @@ def storage_balance_form(boundary: LagrangeBoundary, latent1, latent2, alpha, be
           + x_delta1(b)^T e_delta2(b) - e_delta1(b)^T x_delta2(b)
           - x_delta1(a)^T e_delta2(a) + e_delta1(a)^T x_delta2(a)
 
-    computed in rational arithmetic; zero for all polynomial latents.
+    computed in rational arithmetic; zero for all polynomial latents.  The
+    bracket is w1^T J_p w2, so the middle of the balance is -J_p.
     """
-    a, b = Fraction(alpha), Fraction(beta)
-    x1, e1 = boundary.states(latent1), boundary.efforts(latent1)
-    x2, e2 = boundary.states(latent2), boundary.efforts(latent2)
-    integrand = _dot(x1, e2) - _dot(x2, e1)
-    total = integrand.integral(a, b)
+    def latent(l):
+        return boundary.states(l), boundary.efforts(l), boundary.boundary(l)
 
-    x_d1, e_d1 = boundary.split_boundary(latent1)
-    x_d2, e_d2 = boundary.split_boundary(latent2)
-    bracket = _dot(x_d1, e_d2) - _dot(e_d1, x_d2)
-    return total + bracket(b) - bracket(a)
+    return _balance_residual(latent(latent1), latent(latent2),
+                             -_j_matrix(boundary.p), Fraction(alpha),
+                             Fraction(beta), sign=-1)

@@ -150,27 +150,15 @@ def _io_rows(first: PolyMatrix, second: PolyMatrix,
              swap: tuple[int, ...]) -> tuple[PolyMatrix, PolyMatrix]:
     """Input/output matrices: row i comes from `first`/`second` unless the
     1-based index i is swapped."""
-    m = first.rows
     swapped = set(swap)
-    in_rows = []
-    out_rows = []
-    for i in range(m):
-        if i + 1 in swapped:
-            in_rows.append(second.entries[i])
-            out_rows.append(first.entries[i])
-        else:
-            in_rows.append(first.entries[i])
-            out_rows.append(second.entries[i])
-    return PolyMatrix.from_rows(in_rows), PolyMatrix.from_rows(out_rows)
+    rows = [(b, a) if i + 1 in swapped else (a, b)
+            for i, (a, b) in enumerate(zip(first.entries, second.entries))]
+    return (PolyMatrix.from_rows([a for a, _ in rows]),
+            PolyMatrix.from_rows([b for _, b in rows]))
 
 
 def _coeff_span(*mats: PolyMatrix) -> int:
-    top = 0
-    for mat in mats:
-        d = mat.degree
-        if d != NEG_INF:
-            top = max(top, int(d))
-    return top
+    return max((int(m.degree) for m in mats if m.degree != NEG_INF), default=0)
 
 
 def _validate_swap(swap, m: int) -> tuple[int, ...]:
@@ -212,7 +200,7 @@ def realize(structure, swap=()) -> Realization:
     s = Poly.variable()
     sz = s * z
     stack = PolyMatrix.vstack([z, u])
-    span = max(_coeff_span(stack, sz, y), 0)
+    span = _coeff_span(stack, sz, y)
     coeff_cols = RatMatrix.hstack([stack.coeff(k) for k in range(span + 1)])
 
     def match(rhs: PolyMatrix, label: str) -> RatMatrix:
@@ -255,6 +243,11 @@ def realize(structure, swap=()) -> Realization:
         f"pairing has no realization in this form")
 
 
+class _SwapSet(tuple):
+    """A found swap set with its accepted `realization`, so that a caller
+    needs not solve the same systems again."""
+
+
 def partition_search(structure) -> tuple[int, ...]:
     """Smallest swap set (ties broken lexicographically) for which
     :func:`realize` succeeds with a unique solution.
@@ -262,7 +255,8 @@ def partition_search(structure) -> tuple[int, ...]:
     Exhaustive over all subsets of ports; desk-scale port counts keep this
     cheap.  Raises :class:`NoneFoundError` carrying every witness when no
     subset works, which would contradict the existence claim for these
-    structures and is worth surfacing loudly.
+    structures and is worth surfacing loudly.  The returned tuple also
+    carries the accepted :class:`Realization` as `.realization`.
     """
     if not isinstance(structure, (BoundaryStructure, LagrangeBoundary)):
         raise TypeError(f"cannot realize {type(structure).__name__}")
@@ -271,11 +265,13 @@ def partition_search(structure) -> tuple[int, ...]:
     for size in range(m + 1):
         for subset in combinations(range(1, m + 1), size):
             try:
-                realize(structure, swap=subset)
+                realization = realize(structure, swap=subset)
             except (UnsolvableError, NonUniqueSolutionError) as exc:
                 witnesses.append((subset, str(exc)))
                 continue
-            return subset
+            found = _SwapSet(subset)
+            found.realization = realization
+            return found
     raise NoneFoundError(tuple(witnesses))
 
 
@@ -288,32 +284,23 @@ def verify_realization_structure(r: Realization) -> StructureIdentityReport:
     A Sigma^{-1} must be skew respectively symmetric.  All arithmetic is
     rational; every residual reported is exact.
     """
-    sym_middle = r.kind == "dirac"
-    checks = []
+    # a symmetric middle makes D and A Sigma^-1 skew, a skew middle symmetric
+    sign, kind, op = (1, "skew", "+") if r.kind == "dirac" else (-1, "symmetric", "-")
 
-    res_a = (r.A.transpose() * r.Sigma + r.Sigma * r.A).max_abs()
-    checks.append(IdentityCheck("pairing_invariance (A^T Sigma + Sigma A)",
-                                res_a, res_a == 0))
-    res_b = (r.B.transpose() * r.Sigma - r.C).max_abs()
-    checks.append(IdentityCheck("output_adjointness (B^T Sigma - C)",
-                                res_b, res_b == 0))
-    if sym_middle:
-        res_d = (r.D + r.D.transpose()).max_abs()
-        checks.append(IdentityCheck("feedthrough_skew (D + D^T)", res_d, res_d == 0))
-    else:
-        res_d = (r.D - r.D.transpose()).max_abs()
-        checks.append(IdentityCheck("feedthrough_symmetric (D - D^T)",
-                                    res_d, res_d == 0))
+    def check(name: str, residual: RatMatrix) -> IdentityCheck:
+        value = residual.max_abs()
+        return IdentityCheck(name, value, value == 0)
+
+    checks = [
+        check("pairing_invariance (A^T Sigma + Sigma A)",
+              r.A.transpose() * r.Sigma + r.Sigma * r.A),
+        check("output_adjointness (B^T Sigma - C)", r.B.transpose() * r.Sigma - r.C),
+        check(f"feedthrough_{kind} (D {op} D^T)", r.D + sign * r.D.transpose()),
+    ]
     if r.n > 0:
         j = r.A * r.Sigma.inverse()
-        if sym_middle:
-            res_j = (j + j.transpose()).max_abs()
-            checks.append(IdentityCheck("aggregate_skew (A Sigma^-1 + transpose)",
-                                        res_j, res_j == 0))
-        else:
-            res_j = (j - j.transpose()).max_abs()
-            checks.append(IdentityCheck(
-                "aggregate_symmetric (A Sigma^-1 - transpose)", res_j, res_j == 0))
+        checks.append(check(f"aggregate_{kind} (A Sigma^-1 {op} transpose)",
+                            j + sign * j.transpose()))
     else:
         checks.append(IdentityCheck("aggregate (empty state)", Fraction(0), True))
     return StructureIdentityReport(r.kind, tuple(checks))

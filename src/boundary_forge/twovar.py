@@ -32,6 +32,7 @@ from .algebra import (
     PolyMatrix,
     RatMatrix,
     _congruence_reduce,
+    _derivatives,
     rank_factorization,
     skew_canonical_congruence,
 )
@@ -41,7 +42,6 @@ __all__ = [
     "CoeffMatrix",
     "DimensionMismatchError",
     "NotDivisibleError",
-    "OddRankError",
     "bdf_apply",
     "mul_zeta_plus_eta",
     "div_zeta_plus_eta",
@@ -62,10 +62,6 @@ class NotDivisibleError(ValueError):
     def __init__(self, message: str, witness: PolyMatrix | None = None):
         super().__init__(message)
         self.witness = witness
-
-
-class OddRankError(ValueError):
-    """Defensive: a skew coefficient matrix reported odd rank."""
 
 
 class TwoVarPolyMatrix:
@@ -105,20 +101,6 @@ class TwoVarPolyMatrix:
     @classmethod
     def constant(cls, mat: RatMatrix) -> "TwoVarPolyMatrix":
         return cls(mat.rows, mat.cols, {(0, 0): mat})
-
-    @classmethod
-    def from_zeta(cls, pm: PolyMatrix) -> "TwoVarPolyMatrix":
-        """Read a one-variable polynomial matrix as a function of zeta only."""
-        deg = pm.degree
-        top = int(deg) if deg != float("-inf") else -1
-        return cls(pm.rows, pm.cols, {(k, 0): pm.coeff(k) for k in range(top + 1)})
-
-    @classmethod
-    def from_eta(cls, pm: PolyMatrix) -> "TwoVarPolyMatrix":
-        """Read a one-variable polynomial matrix as a function of eta only."""
-        deg = pm.degree
-        top = int(deg) if deg != float("-inf") else -1
-        return cls(pm.rows, pm.cols, {(0, l): pm.coeff(l) for l in range(top + 1)})
 
     @classmethod
     def outer(cls, x: PolyMatrix, y: PolyMatrix) -> "TwoVarPolyMatrix":
@@ -170,14 +152,9 @@ class TwoVarPolyMatrix:
             signed = mat if k % 2 == 0 else -mat
             acc[power] = acc.get(power, RatMatrix.zero(self.p, self.q)) + signed
         top = max(acc, default=-1)
-        rows = []
-        for i in range(self.p):
-            row = []
-            for j in range(self.q):
-                row.append(Poly([acc[d].entries[i][j] if d in acc else 0
-                                 for d in range(top + 1)]))
-            rows.append(row)
-        return PolyMatrix(self.p, self.q, rows)
+        return PolyMatrix(self.p, self.q, [
+            [Poly([acc[d].entries[i][j] if d in acc else 0 for d in range(top + 1)])
+             for j in range(self.q)] for i in range(self.p)])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -241,14 +218,12 @@ class CoeffMatrix:
     mat: RatMatrix
 
     def to_two_var(self) -> TwoVarPolyMatrix:
-        blocks = {}
-        for k in range(self.window + 1):
-            for l in range(self.window + 1):
-                sub = self.mat.submatrix(range(k * self.p, (k + 1) * self.p),
-                                         range(l * self.q, (l + 1) * self.q))
-                if not sub.is_zero():
-                    blocks[(k, l)] = sub
-        return TwoVarPolyMatrix(self.p, self.q, blocks)
+        # the constructor drops the zero blocks
+        span = range(self.window + 1)
+        return TwoVarPolyMatrix(self.p, self.q, {
+            (k, l): self.mat.submatrix(range(k * self.p, (k + 1) * self.p),
+                                       range(l * self.q, (l + 1) * self.q))
+            for k in span for l in span})
 
 
 def bdf_apply(phi: TwoVarPolyMatrix, v: Sequence[Poly], w: Sequence[Poly]) -> Poly:
@@ -261,18 +236,8 @@ def bdf_apply(phi: TwoVarPolyMatrix, v: Sequence[Poly], w: Sequence[Poly]) -> Po
         return Poly.zero()
     kmax = max(k for (k, _) in phi.blocks)
     lmax = max(l for (_, l) in phi.blocks)
-
-    def derivative_table(vec, depth):
-        tables = []
-        for entry in vec:
-            ds = [entry if isinstance(entry, Poly) else Poly.const(entry)]
-            for _ in range(depth):
-                ds.append(ds[-1].deriv())
-            tables.append(ds)
-        return tables
-
-    dv = derivative_table(v, kmax)
-    dw = derivative_table(w, lmax)
+    dv = _derivatives(v, kmax)
+    dw = _derivatives(w, lmax)
     total = Poly.zero()
     for (k, l), mat in phi.blocks.items():
         for i in range(phi.p):
@@ -327,12 +292,8 @@ def div_zeta_plus_eta(phi: TwoVarPolyMatrix) -> TwoVarPolyMatrix:
         b[k - 1] = cur
         carry = cur
     # remainder a_0 - eta*b_0 must vanish; guaranteed by the line check
-    blocks = {}
-    for k, slice_ in enumerate(b):
-        for l, mat in slice_.items():
-            if not mat.is_zero():
-                blocks[(k, l)] = mat
-    return TwoVarPolyMatrix(phi.p, phi.q, blocks)
+    return TwoVarPolyMatrix(phi.p, phi.q, {(k, l): mat for k, slice_ in enumerate(b)
+                                           for l, mat in slice_.items()})
 
 
 def _poly_matrix_from_coeff_rows(block: RatMatrix, cols_per_power: int) -> PolyMatrix:
@@ -341,15 +302,9 @@ def _poly_matrix_from_coeff_rows(block: RatMatrix, cols_per_power: int) -> PolyM
     k = block.rows
     if cols_per_power == 0:
         return PolyMatrix.zero(k, 0)
-    npowers = block.cols // cols_per_power
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(cols_per_power):
-            row.append(Poly([block.entries[i][t * cols_per_power + j]
-                             for t in range(npowers)]))
-        rows.append(row)
-    return PolyMatrix(k, cols_per_power, rows)
+    return PolyMatrix(k, cols_per_power, [
+        [Poly(row[j::cols_per_power]) for j in range(cols_per_power)]
+        for row in block.entries])
 
 
 def factor_general(phi: TwoVarPolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
@@ -396,9 +351,6 @@ def factor_skew(phi: TwoVarPolyMatrix) -> tuple[PolyMatrix, int]:
     if not phi.is_skew():
         raise NotSkewError("two-variable matrix is not skew")
     coeff = phi.to_coeff()
-    rank = coeff.mat.rank()
-    if rank % 2 != 0:
-        raise OddRankError(f"skew coefficient matrix has odd rank {rank}")
     p_half, t = skew_canonical_congruence(coeff.mat)
     r = t.inverse()
     w = _poly_matrix_from_coeff_rows(r.take_rows(range(2 * p_half)), phi.p)

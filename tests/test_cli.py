@@ -356,6 +356,22 @@ def test_parse_problem_names_non_utf8_file(tmp_path, capsys):
     assert str(latin) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry,where", [
+    ([[[[0] * 200_000]]], "J[0][0][0]"),     # an array for a coefficient
+    ([[["1/0" + " " * 200_000]]], "J[0][0][0]"),  # a zero denominator
+    ([[["x" * 200_000]]], "J[0][0][0]"),     # not a rational at all
+    ([["s" * 200_000]], "J[0][0]"),          # a string for a polynomial
+])
+def test_bad_entry_error_is_one_short_line(tmp_path, capsys, entry, where):
+    path = write_problem(tmp_path, {"kind": "skew_adjoint", "J": entry},
+                         "huge.json")
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ")
+    assert err.count("\n") == 1
+    assert len(err) < 300
+
+
 TINY_TOLERANCE_WITNESS = "exceeds tolerance 1.000e-300"
 
 

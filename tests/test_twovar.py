@@ -10,7 +10,6 @@ from boundary_forge import (
     NotDivisibleError,
     NotSkewError,
     NotSymmetricError,
-    OddRankError,
     Poly,
     PolyMatrix,
     RatMatrix,
