@@ -14,7 +14,7 @@ over asymptotic speed.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -367,16 +367,22 @@ def _balance_residual(first, second, middle: "RatMatrix", alpha, beta,
     u1, v1, w1 = first
     u2, v2, w2 = second
     interior = _dot(u1, v2)
-    # on the diagonal the two pairings coincide
-    swapped = interior if second is first else _dot(u2, v1)
+    swapped = _dot(u2, v1)
     interior = interior + swapped if sign > 0 else interior - swapped
+    return interior.integral(alpha, beta) - _bracket_difference(
+        w1, w2, middle, alpha, beta)
+
+
+def _bracket_difference(w1, w2, middle: "RatMatrix", alpha, beta) -> Fraction:
+    """``[w1^T M w2]_alpha^beta`` for polynomial vectors, evaluated at the
+    two endpoints before the vectors meet ``M``."""
 
     def bracket(point) -> Fraction:
         x = [w(point) for w in w1]
         y = x if w2 is w1 else [w(point) for w in w2]
         return _bilinear(x, middle, y)
 
-    return interior.integral(alpha, beta) - (bracket(beta) - bracket(alpha))
+    return bracket(beta) - bracket(alpha)
 
 
 class _Matrix:
@@ -651,7 +657,8 @@ class PolyMatrix(_Matrix):
             return Poly.one()
         if n == 1:
             return self.entries[0][0]
-        # cofactor expansion along the first column; fine at desk scale
+        # cofactor expansion along the first column, O(n!); no validation
+        # step calls it (full_rank_everywhere column-reduces instead)
         total = Poly.zero()
         for i in range(n):
             a = self.entries[i][0]
@@ -722,21 +729,61 @@ def full_rank_everywhere(p: PolyMatrix) -> bool:
     A common polynomial factor of all maximal minors would vanish at one of
     its complex roots, dropping the rank there; conversely a constant gcd
     leaves no such point.
+
+    The gcd is found by a Euclidean column reduction over Q[s], with no
+    minor formed.  For each row ``i``, the remaining column with the
+    lowest-degree entry in row ``i`` is the pivot; every other remaining
+    column ``c`` becomes ``c - (c[i] // pivot[i]) * pivot`` (rows above ``i``
+    are already zero) and is scaled to coprime integer coefficients, which
+    keeps the rationals from swelling (to 30,000-bit coefficients for a
+    dense random 12 x 12 matrix of quadratics without it).  Once a single
+    column is left nonzero in row ``i``, it is set aside.  The columns set
+    aside form a lower triangular ``L``; the rest are zero.
+
+    Proof.  Each step, the scaling by a nonzero constant included,
+    multiplies ``p`` on the right by a unimodular ``V`` (polynomial, with a
+    polynomial inverse).  By Cauchy-Binet every maximal minor of ``p V`` is
+    a polynomial combination of maximal minors of ``p``, and with ``V^-1``
+    the other way round, so both generate the same ideal and have the same
+    gcd.  The maximal minors of ``[L 0]`` are ``det L``, the product of the
+    pivots, and zeros, so ``p`` passes exactly when every pivot is a nonzero
+    constant.  If no remaining column is nonzero in row ``i``, the remaining
+    columns lie in the span of the last ``rows - i - 1`` coordinates, and
+    every maximal minor takes at least ``rows - i`` of them, so every
+    maximal minor is zero and ``p`` fails.
     """
     if p.rows > p.cols:
         raise ValueError("full_rank_everywhere expects rows <= cols")
-    if p.rows == 0:
-        return True
-    minors = []
-    for cols in itertools.combinations(range(p.cols), p.rows):
-        d = p.submatrix(range(p.rows), cols).det()
-        if not d.is_zero:
-            minors.append(d)
-            if d.degree == 0:
-                return True
-    if not minors:
-        return False
-    return poly_gcd(minors).degree == 0
+    cols = [list(col) for col in zip(*p.entries)]
+    for i in range(p.rows):
+        while True:
+            live = [c for c in cols if not c[i].is_zero]
+            if not live:
+                return False
+            pivot = min(live, key=lambda c: c[i].degree)
+            if len(live) == 1:
+                break
+            for c in live:
+                if c is not pivot:
+                    q, c[i] = divmod(c[i], pivot[i])
+                    for k in range(i + 1, p.rows):
+                        c[k] = c[k] - q * pivot[k]
+                    _make_primitive(c)
+        if pivot[i].degree != 0:
+            return False
+        cols = [c for c in cols if c is not pivot]
+    return True
+
+
+def _make_primitive(col: list) -> None:
+    """Scale a column of polynomials in place to coprime integer
+    coefficients."""
+    coeffs = [x for e in col for x in e.coeffs]
+    if coeffs:
+        scale = Fraction(math.lcm(*(x.denominator for x in coeffs)),
+                         math.gcd(*(x.numerator for x in coeffs)))
+        if scale != 1:
+            col[:] = [e * scale for e in col]
 
 
 def _rref(grid: list[list[Fraction]], limit_cols: int) -> tuple[list[list[Fraction]], list[int]]:

@@ -349,9 +349,12 @@ def two_point_form(structure: BoundaryStructure,
     vector (b(beta); b(alpha)).
 
     Its signature is always balanced, so the canonical split always exists.
+    Sigma's inertia (p, q, z) gives it as (p + q, p + q, 2z), with no second
+    congruence.
     """
     sigma2 = RatMatrix.block_diag([structure.Sigma, -structure.Sigma])
-    return sigma2, canonical_power_split(sigma2, tolerance)
+    p, q, z = structure.inertia.as_tuple()
+    return sigma2, _power_split(sigma2, Inertia(p + q, p + q, 2 * z), tolerance)
 
 
 def concatenation_compatible(structure: BoundaryStructure,

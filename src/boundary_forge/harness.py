@@ -13,9 +13,10 @@ Every balance check is the one residual of `algebra._balance_residual`,
 
 with the relation kind supplying the (u, v, w) of a trajectory and the
 constant middle M: (efforts, flows, Z l) and Sigma for the Dirac form and
-(halved, on the diagonal) the power balance; (e, f, (Z_J e; Z_G e; V_G lam))
-and Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]] for the constrained balance; and
-(states, efforts, W l), the minus sign and -J_p for the symplectic balance.
+(halved, on the diagonal, with the same bracket) the power balance;
+(e, f, (Z_J e; Z_G e; V_G lam)) and Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]]
+for the constrained balance; and (states, efforts, W l), the minus sign and
+-J_p for the symplectic balance.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, _balance_residual, _dot, polynomial_kernel_basis
+from .algebra import (Poly, _balance_residual, _bracket_difference, _dot,
+                      polynomial_kernel_basis)
 from .constrained import (
     ConstrainedStructure,
     _random_fraction,
@@ -157,16 +159,18 @@ def _power_trial(structure: BoundaryStructure, split: PowerSplit | None,
     of one evaluated latent.
 
     The power balance is the Dirac balance of the latent with itself,
-    halved.  The split lives in floating point, so its roundoff grows with
+    halved: ``(2T - D) / 2 = T - D / 2`` for the interior power ``T`` and the
+    bracket difference ``D``, so ``T`` is formed once and serves the split
+    too.  The split lives in floating point, so its roundoff grows with
     the size of the boundary values; dividing by the magnitude of the
     compared terms makes the tolerance meaningful across trajectory scales.
     """
-    balance = _balance_residual(latent, latent, structure.Sigma,
-                                alpha, beta) / 2
-    if split is None:
-        return balance, None
     e, f, b = latent
     total = _dot(e, f).integral(alpha, beta)
+    balance = total - _bracket_difference(b, b, structure.Sigma,
+                                          alpha, beta) / 2
+    if split is None:
+        return balance, None
 
     def boundary_power(point) -> float:
         f_delta, e_delta = split.apply([p(point) for p in b])

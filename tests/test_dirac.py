@@ -1,5 +1,6 @@
 """Operator pair validation, boundary synthesis, and the power split."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from boundary_forge import (
     two_point_form,
     validate_dirac_pair,
 )
+from boundary_forge import dirac as dirac_module
+from boundary_forge.cli import RunOptions, parse_problem, run
 
 from instances import (
     DIRAC_INSTANCES,
@@ -33,6 +36,8 @@ from instances import (
     random_unimodular,
 )
 
+PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "problems")
 s = Poly.variable()
 z = Poly.variable()
 
@@ -175,6 +180,23 @@ def test_two_point_form_always_splits():
         assert split.residual < 1e-9
         doubled, _ = inertia_congruence(sigma2)
         assert doubled.is_balanced
+
+
+def test_report_runs_one_congruence(monkeypatch):
+    # two_point_form takes the doubled inertia from the structure's own
+    calls = []
+    real = dirac_module.inertia_congruence
+
+    def counted(sigma):
+        calls.append(sigma.shape)
+        return real(sigma)
+
+    monkeypatch.setattr(dirac_module, "inertia_congruence", counted)
+    report = run("report", parse_problem(os.path.join(PROBLEMS,
+                                                      "scalar_derivative.json")),
+                 RunOptions())
+    assert report["split"]["two_point_fallback"]["p"] == 1
+    assert calls == [(1, 1)]
 
 
 def test_split_transform_reproduces_pairing():

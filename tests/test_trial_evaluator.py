@@ -358,6 +358,25 @@ def test_dirac_suite_applies_each_operator_once_per_latent(monkeypatch):
     assert len(calls) == 6 * trials
 
 
+def test_dirac_suite_forms_each_interior_pairing_once(monkeypatch):
+    structure = skew_adjoint_structure(
+        PolyMatrix.from_rows([[0, Poly.variable()], [Poly.variable(), 0]]))
+    assert _balanced(structure)
+    calls = []
+
+    def counting_dot(u, v):
+        calls.append(len(u))
+        return _dot(u, v)
+
+    for name in ("boundary_forge.algebra", "boundary_forge.harness"):
+        monkeypatch.setattr(importlib.import_module(name), "_dot", counting_dot)
+    trials = 10
+    dirac_suite(structure, trials, seed=1)
+    # e1.f2 and e2.f1 for the form, e1.f1 for both the power balance and
+    # the split deviation
+    assert len(calls) == 3 * trials
+
+
 def test_check_power_balance_applies_each_operator_once(monkeypatch):
     label, structure = STRUCTURES[0]
     calls = []
