@@ -802,12 +802,15 @@ def _rref(grid: list[list[Fraction]], limit_cols: int) -> tuple[list[list[Fracti
         if piv is None:
             continue
         grid[r], grid[piv] = grid[piv], grid[r]
-        inv = 1 / grid[r][c]
-        grid[r] = [v * inv for v in grid[r]]
+        # zeros and unit pivots are left as they are: the same values with
+        # fewer Fraction operations
+        if grid[r][c] != 1:
+            inv = 1 / grid[r][c]
+            grid[r] = [v * inv if v else v for v in grid[r]]
         for i in range(nrows):
             if i != r and grid[i][c] != 0:
                 f = grid[i][c]
-                grid[i] = [a - f * b for a, b in zip(grid[i], grid[r])]
+                grid[i] = [a - f * b if b else a for a, b in zip(grid[i], grid[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

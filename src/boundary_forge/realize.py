@@ -28,7 +28,16 @@ means those rows are linearly independent, so the blocks vanish, and
 A Sigma^{-1} is skew as Sigma is invertible; such a realization is not
 re-checked.  A state/effort realization is checked once per middle
 candidate, since that check picks the middle.
-:func:`verify_realization_structure` reports the exact residuals.
+:func:`verify_realization_structure` reports the exact residuals; it
+reports the aggregate A Sigma^{-1} residual as zero without inverting Sigma
+whenever A^T Sigma + Sigma A is zero, which implies it.
+
+The same uniqueness drives :func:`partition_search`.  A swap set can only
+be realized when the coefficient rows of [Z; U] are linearly independent,
+so the search row-reduces Z once, grows an echelon basis port by port and
+cuts every branch whose rows are already dependent.  It visits the swap
+sets in the order of an exhaustive search and calls :func:`realize` only
+on candidates with independent rows: once, when the first one succeeds.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .algebra import (
     PolyMatrix,
     RatMatrix,
     UnderdeterminedSystemError,
+    _rref,
     solve_linear,
 )
 from .dirac import BoundaryStructure
@@ -161,6 +171,15 @@ def _coeff_span(*mats: PolyMatrix) -> int:
     return max((int(m.degree) for m in mats if m.degree != NEG_INF), default=0)
 
 
+def _state_and_input_rows(structure) -> tuple[str, PolyMatrix, PolyMatrix]:
+    """Kind, state rows (Z or W) and unswapped input rows (N_f or N_x)."""
+    if isinstance(structure, BoundaryStructure):
+        return "dirac", structure.Z, structure.rep.N_f
+    if isinstance(structure, LagrangeBoundary):
+        return "lagrange", structure.W, structure.rep.N_x
+    raise TypeError(f"cannot realize {type(structure).__name__}")
+
+
 def _validate_swap(swap, m: int) -> tuple[int, ...]:
     swap = tuple(sorted(set(int(i) for i in swap)))
     for i in swap:
@@ -181,18 +200,12 @@ def realize(structure, swap=()) -> Realization:
     returned with the first middle candidate whose identities hold.
     :func:`verify_realization_structure` reports them exactly.
     """
-    if isinstance(structure, BoundaryStructure):
-        kind = "dirac"
-        z, first = structure.Z, structure.rep.N_f
-    elif isinstance(structure, LagrangeBoundary):
-        kind = "lagrange"
-        z, first = structure.W, structure.rep.N_x
+    kind, z, first = _state_and_input_rows(structure)
+    if kind == "lagrange":
         j_p = _j_matrix(structure.p)
         # middle candidates: -J_p (direct roles) and +J_p (fully exchanged),
         # one and the same when p = 0
         middles = [-j_p, j_p] if structure.p else [j_p]
-    else:
-        raise TypeError(f"cannot realize {type(structure).__name__}")
 
     swap = _validate_swap(swap, structure.m)
     u, y = _io_rows(first, structure.rep.N_e, swap)
@@ -248,22 +261,103 @@ class _SwapSet(tuple):
     needs not solve the same systems again."""
 
 
+def _independent_swaps(structure):
+    """Swap sets in `combinations` order (by size, then lexicographic),
+    skipping every one whose stacked rows [Z; U] have linearly dependent
+    coefficient rows.
+
+    The coefficient rows of Z are row reduced once, and each port's two
+    candidate input rows (f_i kept, e_i swapped) are reduced modulo their
+    span once.  For each size a depth-first search over the ports tries
+    "swap" before "keep" within the size budget, which visits the subsets
+    in `combinations` order; it carries the echelon basis of the rows
+    chosen so far and grows it by one reduced row per port.  A dependent
+    prefix stays dependent under every completion, so its branch is cut.
+    """
+    _, z, first = _state_and_input_rows(structure)
+    second = structure.rep.N_e
+    # padding with zero top coefficients changes no linear dependence, so
+    # one span serves every swap set
+    span = _coeff_span(z, first, second)
+
+    def coeff_rows(mat: PolyMatrix) -> list[list[Fraction]]:
+        return [[e.coeff(k) for k in range(span + 1) for e in row]
+                for row in mat.entries]
+
+    def reduce(vec: list[Fraction], basis) -> list[Fraction]:
+        # each basis row is 1 at its pivot and 0 at the pivots before it
+        for p, b in basis:
+            c = vec[p]
+            if c:
+                vec = [x - c * y if y else x for x, y in zip(vec, b)]
+        return vec
+
+    def extend(basis, vec):
+        """`basis` grown by `vec`, or None when `vec` lies in its span."""
+        vec = reduce(vec, basis)
+        p = next((i for i, x in enumerate(vec) if x), None)
+        if p is None:
+            return None
+        inv = 1 / vec[p]
+        return basis + [(p, [x * inv if x else x for x in vec])]
+
+    z_rows, pivots = _rref(coeff_rows(z), (span + 1) * z.cols)
+    if len(pivots) < z.rows:
+        return  # [Z; U] is dependent for every U
+    z_basis = list(zip(pivots, z_rows))
+    ports = [(reduce(f, z_basis), reduce(e, z_basis))
+             for f, e in zip(coeff_rows(first), coeff_rows(second))]
+    m = len(ports)
+
+    def search(i: int, budget: int, basis, chosen: tuple[int, ...]):
+        if i == m:
+            yield chosen
+            return
+        keep, swap = ports[i]
+        branches = []
+        if budget:
+            branches.append((swap, budget - 1, chosen + (i + 1,)))
+        if budget < m - i:
+            branches.append((keep, budget, chosen))
+        for vec, left, subset in branches:
+            grown = extend(basis, vec)
+            if grown is not None:
+                yield from search(i + 1, left, grown, subset)
+
+    for size in range(m + 1):
+        yield from search(0, size, [], ())
+
+
 def partition_search(structure) -> tuple[int, ...]:
     """Smallest swap set (ties broken lexicographically) for which
     :func:`realize` succeeds with a unique solution.
 
-    Exhaustive over all subsets of ports; desk-scale port counts keep this
-    cheap.  Raises :class:`NoneFoundError` carrying every witness when no
-    subset works, which would contradict the existence claim for these
-    structures and is worth surfacing loudly.  The returned tuple also
-    carries the accepted :class:`Realization` as `.realization`.
+    The result is the first subset of the ports, in `combinations` order
+    (by size, then lexicographic), that :func:`realize` accepts, but the
+    subsets that provably fail are skipped without calling it.  `realize`
+    needs a unique solution X of X coeff([Z; U]) = rhs, so the coefficient
+    rows of [Z; U] must have full row rank n + m; when they are dependent
+    the solve is inconsistent or underdetermined and `realize` raises.
+    :func:`_independent_swaps` yields only the subsets with independent
+    rows, in order, and prunes a port prefix as soon as its rows are
+    dependent.  A subset with independent rows is still realized in full,
+    and the search goes on if that fails.  Where the answer is the full
+    set, as for U (sI, I), this is one `realize` call instead of 2^m.
+
+    Raises :class:`NoneFoundError` carrying every witness when no subset
+    works, which would contradict the existence claim for these structures
+    and is worth surfacing loudly; to collect the witnesses this error path
+    realizes every subset.  The returned tuple also carries the accepted
+    :class:`Realization` as `.realization`.
     """
     if not isinstance(structure, (BoundaryStructure, LagrangeBoundary)):
         raise TypeError(f"cannot realize {type(structure).__name__}")
     m = structure.m
-    witnesses = []
-    for size in range(m + 1):
-        for subset in combinations(range(1, m + 1), size):
+    everything = (subset for size in range(m + 1)
+                  for subset in combinations(range(1, m + 1), size))
+    for subsets in (_independent_swaps(structure), everything):
+        witnesses = []
+        for subset in subsets:
             try:
                 realization = realize(structure, swap=subset)
             except (UnsolvableError, NonUniqueSolutionError) as exc:
@@ -291,16 +385,27 @@ def verify_realization_structure(r: Realization) -> StructureIdentityReport:
         value = residual.max_abs()
         return IdentityCheck(name, value, value == 0)
 
+    pairing = check("pairing_invariance (A^T Sigma + Sigma A)",
+                    r.A.transpose() * r.Sigma + r.Sigma * r.A)
     checks = [
-        check("pairing_invariance (A^T Sigma + Sigma A)",
-              r.A.transpose() * r.Sigma + r.Sigma * r.A),
+        pairing,
         check("output_adjointness (B^T Sigma - C)", r.B.transpose() * r.Sigma - r.C),
         check(f"feedthrough_{kind} (D {op} D^T)", r.D + sign * r.D.transpose()),
     ]
     if r.n > 0:
-        j = r.A * r.Sigma.inverse()
-        checks.append(check(f"aggregate_{kind} (A Sigma^-1 {op} transpose)",
-                            j + sign * j.transpose()))
+        aggregate = f"aggregate_{kind} (A Sigma^-1 {op} transpose)"
+        # With R = A^T Sigma + Sigma A and Sigma^T = sign * Sigma, also
+        # Sigma^-T = sign * Sigma^-1, so
+        #   A Sigma^-1 + sign * (A Sigma^-1)^T
+        #     = A Sigma^-1 + Sigma^-1 A^T = Sigma^-1 R Sigma^-1.
+        # A zero pairing residual therefore makes the aggregate residual
+        # zero, and the invertible Sigma (the pairing of a structure is
+        # non-degenerate) need not be inverted.
+        if pairing.passed:
+            checks.append(IdentityCheck(aggregate, Fraction(0), True))
+        else:
+            j = r.A * r.Sigma.inverse()
+            checks.append(check(aggregate, j + sign * j.transpose()))
     else:
         checks.append(IdentityCheck("aggregate (empty state)", Fraction(0), True))
     return StructureIdentityReport(r.kind, tuple(checks))

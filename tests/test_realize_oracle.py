@@ -10,6 +10,7 @@ family and random skew-adjoint operators.  A `report` then runs the
 verification once, for its `identities` field.
 """
 
+import dataclasses
 import importlib
 import os
 from fractions import Fraction
@@ -21,11 +22,14 @@ from hypothesis import strategies as st
 from boundary_forge import (
     Poly,
     PolyMatrix,
+    RatMatrix,
     boundary_structure,
     constrained_boundary,
+    lagrange_boundary,
     realize,
     skew_adjoint_structure,
     validate_dirac_pair,
+    validate_lagrange_pair,
     validate_skew_adjoint,
 )
 from boundary_forge.cli import RunOptions, parse_problem, run
@@ -35,7 +39,12 @@ from boundary_forge.realize import (
     verify_realization_structure,
 )
 
-from instances import CONSTRAINED_INSTANCES, DIRAC_INSTANCES, SKEW_INSTANCES
+from instances import (
+    CONSTRAINED_INSTANCES,
+    DIRAC_INSTANCES,
+    LAGRANGE_INSTANCES,
+    SKEW_INSTANCES,
+)
 
 s = Poly.variable()
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -149,3 +158,34 @@ def test_report_verifies_realization_once(monkeypatch):
         report = run("report", problem, RunOptions(trials=2))
         assert report["realization"]["identities_pass"]
         assert len(calls) == 1, name
+
+
+def test_aggregate_residual_follows_from_pairing(monkeypatch):
+    """With R = A^T Sigma + Sigma A the aggregate residual is
+    Sigma^-1 R Sigma^-1: a zero R reports a zero aggregate without
+    inverting Sigma, a nonzero R reports the aggregate as computed."""
+    inverse = RatMatrix.inverse
+    inverted = []
+
+    def counting_inverse(self):
+        inverted.append(self)
+        return inverse(self)
+
+    skew = SKEW_INSTANCES[0]
+    storage = LAGRANGE_INSTANCES[0]
+    for r in (realize(skew_adjoint_structure(skew["J"])),
+              realize(lagrange_boundary(
+                  validate_lagrange_pair(storage["P"], storage["S"])))):
+        monkeypatch.setattr(RatMatrix, "inverse", counting_inverse)
+        inverted.clear()
+        report = verify_realization_structure(r)
+        assert report.all_pass and not inverted
+        monkeypatch.undo()
+        assert r.n > 0 and report.checks[3].residual == 0
+
+        tampered = dataclasses.replace(r, A=r.A + RatMatrix.identity(r.n))
+        pairing, _, _, aggregate = verify_realization_structure(tampered).checks
+        assert not pairing.passed and not aggregate.passed
+        sigma_inv = r.Sigma.inverse()
+        residual = tampered.A.transpose() * r.Sigma + r.Sigma * tampered.A
+        assert aggregate.residual == (sigma_inv * residual * sigma_inv).max_abs()
