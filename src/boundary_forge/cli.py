@@ -15,6 +15,12 @@ synthesized boundary maps, `split` adds the power split (or the doubled
 two-point form with --two-point), `realize` adds the state realization,
 `verify` runs the exact verification suites, and `report` runs everything.
 
+After parsing, only the build step `_build` reads the problem's kind.  It
+evaluates the conditions and, unless they fail or the subcommand is
+`check` (which synthesizes nothing), also returns the boundary section,
+the pairing to split, the structure to realize and the verification
+suite, from which `run` assembles the report.
+
 Exit status: 0 when everything requested passed, 1 when a validation
 condition, verification residual, split, or realization failed, 2 on usage
 or problem-file errors.
@@ -30,9 +36,10 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .algebra import Poly, PolyMatrix, RatMatrix
-from .constrained import ConstrainedStructure, constrained_boundary
+from .constrained import constrained_boundary
 from .dirac import (
     DEFAULT_SPLIT_TOLERANCE,
     BoundaryStructure,
@@ -41,9 +48,9 @@ from .dirac import (
     SplitToleranceError,
     UnbalancedSignatureError,
     _power_split,
+    _skew_adjoint_boundary,
     boundary_structure,
     dirac_condition_reports,
-    skew_adjoint_structure,
     two_point_form,
     validate_skew_adjoint,
 )
@@ -54,12 +61,7 @@ from .harness import (
     dirac_suite,
     lagrange_suite,
 )
-from .lagrange import (
-    LagrangeBoundary,
-    LagrangePair,
-    lagrange_boundary,
-    lagrange_condition_reports,
-)
+from .lagrange import LagrangePair, lagrange_boundary, lagrange_condition_reports
 from .realize import (
     NoneFoundError,
     NonUniqueSolutionError,
@@ -128,12 +130,18 @@ class RunOptions:
 
 # Errors quote offending values through `reprlib`, which shortens long
 # strings, numbers and arrays, so one bad entry gives one short line.
+# Exponent notation is refused before `Fraction` sees it: "1e10000000" would
+# make it build 10**10000000.
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ParseError(f"{where}: expected a rational string, "
                          f"got {reprlib.repr(value)}")
+    text = str(value)
+    if "e" in text or "E" in text:
+        raise ParseError(f"{where}: exponent notation is not accepted: "
+                         f"{reprlib.repr(value)}")
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: not a rational number: "
                          f"{reprlib.repr(value)}") from exc
@@ -225,25 +233,19 @@ def parse_problem_data(data, where: str = "problem") -> ProblemFile:
 
 
 def _check_shapes(kind: str, matrices: dict) -> None:
-    def square(name):
+    names = KIND_MATRICES[kind]
+    for name in names:  # every operator but the constraint G is square
         m = matrices[name]
-        if m.rows != m.cols:
+        if name != "G" and m.rows != m.cols:
             raise ShapeError(f"{name}: must be square, got {m.rows}x{m.cols}")
-
     if kind in ("dirac", "lagrange"):
-        first, second = KIND_MATRICES[kind]
-        square(first)
-        square(second)
+        first, second = names
         if matrices[first].shape != matrices[second].shape:
             raise ShapeError(f"{first} and {second} must have equal size, got "
                              f"{matrices[first].shape} and {matrices[second].shape}")
-    elif kind == "skew_adjoint":
-        square("J")
-    elif kind == "constrained":
-        square("J")
-        if matrices["G"].cols != matrices["J"].rows:
-            raise ShapeError(f"G: width {matrices['G'].cols} does not match "
-                             f"the effort dimension {matrices['J'].rows}")
+    elif kind == "constrained" and matrices["G"].cols != matrices["J"].rows:
+        raise ShapeError(f"G: width {matrices['G'].cols} does not match "
+                         f"the effort dimension {matrices['J'].rows}")
 
 
 def parse_problem(path: str) -> ProblemFile:
@@ -260,6 +262,11 @@ def parse_problem(path: str) -> ProblemFile:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: nested too deeply to decode") from exc
+    except ValueError as exc:
+        # an integer literal beyond the interpreter's digit limit (checked
+        # after the subclasses above); its advice to raise the limit is cut
+        raise ParseError(f"{path}: cannot decode: "
+                         f"{str(exc).split(';')[0]}") from exc
     return parse_problem_data(data, where="problem")
 
 
@@ -299,75 +306,53 @@ def _condition_json(report: ConditionReport) -> dict:
     return entry
 
 
-def _float_matrix_json(rows) -> list:
-    return [[float(v) for v in row] for row in rows]
+# the build step -----------------------------------------------------------------
 
 
-# structure assembly -------------------------------------------------------------
-
-
-@dataclass
+@dataclass(frozen=True)
 class _Built:
-    """Validated pipeline objects for one problem, plus condition verdicts."""
+    """The problem's kind and condition verdicts and, when they pass and
+    the subcommand reports more than them, what the later sections use:
+    the boundary section, the symmetric pairing to split (None for a
+    symplectic one), the structure to realize, and the verification suite
+    as a function of (trials, degrees, seed, interval)."""
 
-    conditions: list
-    structure: BoundaryStructure | None = None
-    constrained: ConstrainedStructure | None = None
-    lagrange: LagrangeBoundary | None = None
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.conditions)
+    kind: str
+    conditions: tuple
+    boundary: dict | None = None
+    pairing: BoundaryStructure | None = None
+    target: object = None
+    suite: object = None
 
 
-def _build(problem: ProblemFile) -> _Built:
-    kind = problem.kind
+def _build(subcommand: str, problem: ProblemFile, tolerance: float) -> _Built:
+    """The one step after parsing that reads `problem.kind`.
+
+    `check` stops after the conditions; every other subcommand also gets
+    the synthesized pieces when the conditions pass.  Every factor_* call
+    re-verifies its reconstruction before returning, which is what
+    `reconstruction_verified` reports.
+    """
+    kind, mats = problem.kind, problem.matrices
     if kind == "dirac":
-        reports = dirac_condition_reports(problem.matrices["F"],
-                                          problem.matrices["E"])
-        built = _Built(list(reports))
-        if built.ok:
-            pair = DiracPair(problem.matrices["F"], problem.matrices["E"])
-            built.structure = boundary_structure(pair)
-        return built
-    if kind in ("skew_adjoint", "constrained"):
-        ok, witness = validate_skew_adjoint(problem.matrices["J"])
-        built = _Built([ConditionReport("skew_adjoint", ok, witness)])
-        if ok and kind == "skew_adjoint":
-            built.structure = skew_adjoint_structure(problem.matrices["J"])
-        elif ok:
-            built.constrained = constrained_boundary(problem.matrices["J"],
-                                                     problem.matrices["G"])
-            built.structure = built.constrained.j_structure
-        return built
+        conditions = dirac_condition_reports(mats["F"], mats["E"])
+    elif kind == "lagrange":
+        conditions = lagrange_condition_reports(mats["P"], mats["S"])
+    else:
+        conditions = (ConditionReport("skew_adjoint",
+                                      *validate_skew_adjoint(mats["J"])),)
+    if subcommand == "check" or not all(c.passed for c in conditions):
+        return _Built(kind, conditions)
     if kind == "lagrange":
-        reports = lagrange_condition_reports(problem.matrices["P"],
-                                             problem.matrices["S"])
-        built = _Built(list(reports))
-        if built.ok:
-            pair = LagrangePair(problem.matrices["P"], problem.matrices["S"])
-            built.lagrange = lagrange_boundary(pair)
-        return built
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _boundary_section(problem: ProblemFile, built: _Built) -> dict:
-    # every factor_* call re-verifies its reconstruction before returning,
-    # which is what `reconstruction_verified` reports
-    kind = problem.kind
-    if kind in ("dirac", "skew_adjoint"):
-        s = built.structure
-        return {
-            "n": s.n,
-            "pi": _two_var_json(s.pi),
-            "Z": _poly_matrix_json(s.Z),
-            "Sigma": _rat_matrix_json(s.Sigma),
-            "inertia": list(s.inertia.as_tuple()),
-            "reconstruction_verified": True,
-        }
-    if kind == "constrained":
-        c = built.constrained
-        return {
+        target = lagrange_boundary(LagrangePair(mats["P"], mats["S"]))
+        pairing, suite = None, partial(lagrange_suite, target)
+        boundary = {"p": target.p, "Theta": _two_var_json(target.Theta),
+                    "W": _poly_matrix_json(target.W)}
+    elif kind == "constrained":
+        c = constrained_boundary(mats["J"], mats["G"])
+        pairing = target = c.j_structure
+        suite = partial(constrained_suite, c)
+        boundary = {
             "n_j": c.n_j,
             "n_g": c.n_g,
             "Z_J": _poly_matrix_json(c.Z_J),
@@ -375,23 +360,28 @@ def _boundary_section(problem: ProblemFile, built: _Built) -> dict:
             "Z_G": _poly_matrix_json(c.Z_G),
             "V_G": _poly_matrix_json(c.V_G),
             "Pi_G": _rat_matrix_json(c.Pi_G),
-            "inertia_J": list(c.j_structure.inertia.as_tuple()),
-            "reconstruction_verified": True,
+            "inertia_J": list(pairing.inertia.as_tuple()),
         }
-    if kind == "lagrange":
-        b = built.lagrange
-        return {
-            "p": b.p,
-            "Theta": _two_var_json(b.Theta),
-            "W": _poly_matrix_json(b.W),
-            "reconstruction_verified": True,
+    else:
+        # for skew_adjoint the condition above is the only check J needs
+        pairing = target = (
+            boundary_structure(DiracPair(mats["F"], mats["E"]))
+            if kind == "dirac" else _skew_adjoint_boundary(mats["J"]))
+        suite = partial(dirac_suite, pairing, split_tolerance=tolerance)
+        boundary = {
+            "n": pairing.n,
+            "pi": _two_var_json(pairing.pi),
+            "Z": _poly_matrix_json(pairing.Z),
+            "Sigma": _rat_matrix_json(pairing.Sigma),
+            "inertia": list(pairing.inertia.as_tuple()),
         }
-    raise ValueError(f"unknown kind {kind!r}")
+    boundary["reconstruction_verified"] = True
+    return _Built(kind, conditions, boundary, pairing, target, suite)
 
 
 def _split_json(split) -> dict:
     return {"p": split.p, "residual": split.residual,
-            "T": _float_matrix_json(split.T)}
+            "T": [[float(v) for v in row] for row in split.T]}
 
 
 def _two_point_json(structure: BoundaryStructure, tolerance: float) -> dict:
@@ -399,33 +389,32 @@ def _two_point_json(structure: BoundaryStructure, tolerance: float) -> dict:
     return {"Sigma2": _rat_matrix_json(sigma2), **_split_json(split)}
 
 
-def _split_section(built: _Built, tolerance: float, two_point: bool,
-                   documenting: bool) -> tuple[dict, bool]:
+def _split_section(structure: BoundaryStructure, tolerance: float,
+                   two_point: bool, documenting: bool) -> tuple[dict, bool]:
     """Split data plus a pass verdict.  With `documenting` an unbalanced
     one-point split is described rather than failed."""
     section: dict = {"tolerance": tolerance, "two_point": two_point}
     try:
         if two_point:
-            section.update(_two_point_json(built.structure, tolerance))
+            section.update(_two_point_json(structure, tolerance))
             return section, True
         try:
-            split = _power_split(built.structure.Sigma,
-                                 built.structure.inertia, tolerance)
+            split = _power_split(structure.Sigma, structure.inertia,
+                                 tolerance)
         except UnbalancedSignatureError as exc:
             section["balanced"] = False
             section["inertia"] = list(exc.inertia.as_tuple())
             section["witness"] = str(exc)
             if not documenting:
                 return section, False
-            section["two_point_fallback"] = _two_point_json(built.structure,
+            section["two_point_fallback"] = _two_point_json(structure,
                                                             tolerance)
             return section, True
     except SplitToleranceError as exc:
         # a tolerance below the roundoff of the float split
         section.update(failed=True, witness=str(exc))
         return section, False
-    section["balanced"] = True
-    section.update(_split_json(split))
+    section.update(balanced=True, **_split_json(split))
     return section, True
 
 
@@ -439,8 +428,7 @@ def _realization_section(target, swap: tuple[int, ...] | None
         else:
             realization = realize(target, swap=swap)
     except (UnsolvableError, NonUniqueSolutionError, NoneFoundError) as exc:
-        section["failed"] = True
-        section["witness"] = str(exc)
+        section.update(failed=True, witness=str(exc))
         if swap is not None:
             section["swap"] = list(swap)
         return section, False
@@ -462,8 +450,7 @@ def _realization_section(target, swap: tuple[int, ...] | None
     return section, report.all_pass
 
 
-def _verification_section(problem: ProblemFile, built: _Built,
-                          options: RunOptions, tolerance: float
+def _verification_section(problem: ProblemFile, suite, options: RunOptions
                           ) -> tuple[dict, bool]:
     settings = problem.settings
     trials = options.trials or settings.get("trials") or DEFAULT_TRIALS
@@ -472,38 +459,30 @@ def _verification_section(problem: ProblemFile, built: _Built,
     degrees = (degree,) if degree is not None else DEFAULT_DEGREES
     interval = options.interval or settings.get("interval")
     section: dict = {"trials": trials, "seed": seed, "degrees": list(degrees)}
-    if problem.kind in ("dirac", "skew_adjoint"):
-        try:
-            reports = dirac_suite(built.structure, trials, degrees, seed,
-                                  interval, tolerance)
-        except SplitToleranceError as exc:
-            section.update(failed=True, witness=str(exc), checks=[])
-            return section, False
-    elif problem.kind == "constrained":
-        reports = constrained_suite(built.constrained, trials, degrees, seed,
-                                    interval)
-    else:
-        reports = lagrange_suite(built.lagrange, trials, degrees, seed, interval)
-    entries = []
-    ok = True
-    for r in reports:
-        entry = {
-            "check": r.check,
-            "instance": r.instance,
-            "trials": r.trials,
-            "max_residual": _frac_str(max((abs(x) for x in r.residuals),
-                                          default=Fraction(0))),
-            "all_zero": r.all_zero,
-            "elapsed": r.elapsed,
-            "passed": r.all_pass,
-        }
-        if r.split_tolerance is not None:
-            entry["max_split_deviation"] = max(r.split_deviations, default=0.0)
-            entry["split_tolerance"] = r.split_tolerance
-        entries.append(entry)
-        ok = ok and r.all_pass
-    section["checks"] = entries
-    return section, ok
+    try:
+        reports = suite(trials, degrees, seed, interval)
+    except SplitToleranceError as exc:
+        section.update(failed=True, witness=str(exc), checks=[])
+        return section, False
+    section["checks"] = [_check_json(r) for r in reports]
+    return section, all(r.all_pass for r in reports)
+
+
+def _check_json(r) -> dict:
+    entry = {
+        "check": r.check,
+        "instance": r.instance,
+        "trials": r.trials,
+        "max_residual": _frac_str(max((abs(x) for x in r.residuals),
+                                      default=Fraction(0))),
+        "all_zero": r.all_zero,
+        "elapsed": r.elapsed,
+        "passed": r.all_pass,
+    }
+    if r.split_tolerance is not None:
+        entry["max_split_deviation"] = max(r.split_deviations, default=0.0)
+        entry["split_tolerance"] = r.split_tolerance
+    return entry
 
 
 # dispatch -----------------------------------------------------------------------
@@ -519,44 +498,39 @@ def run(subcommand: str, problem: ProblemFile, options: RunOptions) -> dict:
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     started = time.perf_counter()
-    built = _build(problem)
+    tolerance = (options.tolerance or problem.settings.get("tolerance")
+                 or DEFAULT_SPLIT_TOLERANCE)
+    built = _build(subcommand, problem, tolerance)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
-        "kind": problem.kind,
+        "kind": built.kind,
         "convention_note": CONVENTION_NOTE,
         "conditions": [_condition_json(c) for c in built.conditions],
     }
-    passed = built.ok
-    tolerance = (options.tolerance or problem.settings.get("tolerance")
-                 or DEFAULT_SPLIT_TOLERANCE)
-
-    if built.ok and subcommand in ("boundary", "split", "realize", "verify",
-                                   "report"):
-        report["boundary"] = _boundary_section(problem, built)
-
-    if built.ok and subcommand in ("split", "report"):
-        if problem.kind == "lagrange":
-            if subcommand == "split":
+    passed = all(c.passed for c in built.conditions)
+    if built.boundary is not None:
+        report["boundary"] = built.boundary
+        if subcommand in ("split", "report"):
+            if built.pairing is not None:
+                section, ok = _split_section(
+                    built.pairing, tolerance, options.two_point,
+                    documenting=subcommand == "report")
+                report["split"] = section
+                passed = passed and ok
+            elif subcommand == "split":
                 raise ValueError(
                     "split applies to symmetric boundary pairings; this kind "
                     "carries a symplectic pairing (always in canonical form)")
-        else:
-            section, ok = _split_section(built, tolerance, options.two_point,
-                                         documenting=subcommand == "report")
-            report["split"] = section
+        if subcommand in ("realize", "report"):
+            section, ok = _realization_section(built.target, options.swap)
+            report["realization"] = section
             passed = passed and ok
-
-    if built.ok and subcommand in ("realize", "report"):
-        target = built.lagrange if problem.kind == "lagrange" else built.structure
-        section, ok = _realization_section(target, options.swap)
-        report["realization"] = section
-        passed = passed and ok
-
-    if built.ok and subcommand in ("verify", "report"):
-        section, ok = _verification_section(problem, built, options, tolerance)
-        report["verification"] = section
-        passed = passed and ok
+        if subcommand in ("verify", "report"):
+            section, ok = _verification_section(problem, built.suite,
+                                                options)
+            report["verification"] = section
+            passed = passed and ok
 
     report["elapsed"] = time.perf_counter() - started
     report["exit_status"] = 0 if passed else 1
@@ -588,21 +562,13 @@ def render_text(report: dict) -> str:
         lines.append(f"  [{tag}] {c['name']}{witness}")
     boundary = report.get("boundary")
     if boundary:
-        if "n" in boundary:
-            lines.append(f"boundary: n={boundary['n']} "
-                         f"inertia={tuple(boundary['inertia'])}")
-            lines.extend(_render_matrix_lines("Z", boundary["Z"]))
-            lines.extend(_render_matrix_lines("Sigma", boundary["Sigma"]))
-        elif "n_j" in boundary:
-            lines.append(f"boundary: n_j={boundary['n_j']} n_g={boundary['n_g']} "
-                         f"inertia_J={tuple(boundary['inertia_J'])}")
-            lines.extend(_render_matrix_lines("Z_J", boundary["Z_J"]))
-            lines.extend(_render_matrix_lines("Sigma_J", boundary["Sigma_J"]))
-            lines.extend(_render_matrix_lines("Z_G", boundary["Z_G"]))
-            lines.extend(_render_matrix_lines("V_G", boundary["V_G"]))
-        else:
-            lines.append(f"boundary: p={boundary['p']}")
-            lines.extend(_render_matrix_lines("W", boundary["W"]))
+        sizes = [f"{k}={tuple(v) if isinstance(v, list) else v}"
+                 for k, v in boundary.items()
+                 if k in ("n", "inertia", "n_j", "n_g", "inertia_J", "p")]
+        lines.append("boundary: " + " ".join(sizes))
+        for name in ("Z", "Sigma", "Z_J", "Sigma_J", "Z_G", "V_G", "W"):
+            if name in boundary:
+                lines.extend(_render_matrix_lines(name, boundary[name]))
     split = report.get("split")
     if split:
         if split.get("failed"):

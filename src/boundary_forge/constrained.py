@@ -185,6 +185,23 @@ def _constrained_sample(structure: ConstrainedStructure, basis, degree: int,
     return ConstrainedSample(effort, multiplier, flow, kernel_empty, degree, seed)
 
 
+def _constrained_middle(structure: ConstrainedStructure) -> RatMatrix:
+    """Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]], the constrained balance's M."""
+    zero = RatMatrix.zero(structure.n_g, structure.n_g)
+    return RatMatrix.block_diag([structure.Sigma_J, RatMatrix.vstack([
+        RatMatrix.hstack([zero, structure.Pi_G]),
+        RatMatrix.hstack([structure.Pi_G.transpose(), zero])])])
+
+
+def _constrained_triple(structure: ConstrainedStructure,
+                        sample: ConstrainedSample):
+    """The (e, f, (Z_J e; Z_G e; V_G lam)) of one constrained sample."""
+    w = (structure.Z_J.apply(sample.effort)
+         + structure.Z_G.apply(sample.effort)
+         + structure.V_G.apply(sample.multiplier))
+    return sample.effort, sample.flow, w
+
+
 def constrained_balance_form(structure: ConstrainedStructure,
                sample1: ConstrainedSample, sample2: ConstrainedSample,
                interval: tuple) -> Fraction:
@@ -200,16 +217,7 @@ def constrained_balance_form(structure: ConstrainedStructure,
     solutions.  The three brackets are the one form w1^T M w2 on
     w = (Z_J e; Z_G e; V_G lam) with M = Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]].
     """
-    zero = RatMatrix.zero(structure.n_g, structure.n_g)
-    middle = RatMatrix.block_diag([structure.Sigma_J, RatMatrix.vstack([
-        RatMatrix.hstack([zero, structure.Pi_G]),
-        RatMatrix.hstack([structure.Pi_G.transpose(), zero])])])
-
-    def latent(sample: ConstrainedSample):
-        w = (structure.Z_J.apply(sample.effort)
-             + structure.Z_G.apply(sample.effort)
-             + structure.V_G.apply(sample.multiplier))
-        return sample.effort, sample.flow, w
-
-    return _balance_residual(latent(sample1), latent(sample2), middle,
+    return _balance_residual(_constrained_triple(structure, sample1),
+                             _constrained_triple(structure, sample2),
+                             _constrained_middle(structure),
                              Fraction(interval[0]), Fraction(interval[1]))

@@ -180,17 +180,23 @@ def dirac_condition_reports(F: PolyMatrix, E: PolyMatrix) -> tuple[ConditionRepo
     if F.rows != F.cols or E.rows != E.cols or F.rows != E.rows:
         raise ValueError(f"operator pair must be square and equal-sized, "
                          f"got {F.shape} and {E.shape}")
-    skew_residual = F.para() * E.transpose() + E.para() * F.transpose()
-    skew_ok = skew_residual.is_zero()
-    skew = ConditionReport(
-        "skew_condition", skew_ok,
-        None if skew_ok else f"F(-s)E(s)^T + E(-s)F(s)^T = {skew_residual}")
-    stacked = PolyMatrix.hstack([F.para(), E.para()])
-    rank_ok = full_rank_everywhere(stacked)
-    rank = ConditionReport(
-        "rank_condition", rank_ok,
-        None if rank_ok else "[F(-s) E(-s)] loses row rank at some complex point")
-    return (skew, rank)
+    return _condition_reports(
+        "skew_condition", "F(-s)E(s)^T + E(-s)F(s)^T",
+        F.para() * E.transpose() + E.para() * F.transpose(),
+        full_rank_everywhere(PolyMatrix.hstack([F.para(), E.para()])),
+        "[F(-s) E(-s)] loses row rank")
+
+
+def _condition_reports(name: str, label: str, residual: PolyMatrix,
+                       rank_ok: bool, rank_failure: str
+                       ) -> tuple[ConditionReport, ConditionReport]:
+    """The two admissibility reports of a pair: condition `name` holds
+    when `residual` is identically zero (the witness prints it after
+    `label`), and the rank condition's verdict is `rank_ok`."""
+    ok = residual.is_zero()
+    return (ConditionReport(name, ok, None if ok else f"{label} = {residual}"),
+            ConditionReport("rank_condition", rank_ok, None if rank_ok else
+                            f"{rank_failure} at some complex point"))
 
 
 def validate_dirac_pair(F: PolyMatrix, E: PolyMatrix) -> DiracPair:

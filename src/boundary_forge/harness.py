@@ -11,12 +11,14 @@ Every balance check is the one residual of `algebra._balance_residual`,
 
     int_alpha^beta (u1 . v2 +- u2 . v1) dz - [w1^T M w2]_alpha^beta,
 
-with the relation kind supplying the (u, v, w) of a trajectory and the
-constant middle M: (efforts, flows, Z l) and Sigma for the Dirac form and
-(halved, on the diagonal, with the same bracket) the power balance;
-(e, f, (Z_J e; Z_G e; V_G lam)) and Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]]
-for the constrained balance; and (states, efforts, W l), the minus sign and
--J_p for the symplectic balance.
+run by every suite in the one trial loop `_balance_trials`.  Each kind
+supplies its draws (pairs of random latents, or of constrained solutions),
+the (u, v, w) triple of a draw, the middle M, built once per suite, and the
+sign: (efforts, flows, Z l), Sigma and + for the Dirac form;
+(e, f, (Z_J e; Z_G e; V_G lam)), Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]] and
++ for the constrained balance; (states, efforts, W l), -J_p and - for the
+symplectic balance.  The Dirac suite adds the power balance (the Dirac
+balance of a latent with itself, halved) on each trial's first triple.
 """
 
 from __future__ import annotations
@@ -25,15 +27,17 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (Poly, _balance_residual, _bracket_difference, _dot,
                       polynomial_kernel_basis)
 from .constrained import (
     ConstrainedStructure,
+    _constrained_middle,
+    _constrained_sample,
+    _constrained_triple,
     _random_fraction,
     _random_poly,
-    _constrained_sample,
-    constrained_balance_form,
 )
 from .dirac import (
     DEFAULT_SPLIT_TOLERANCE,
@@ -42,8 +46,8 @@ from .dirac import (
     UnbalancedSignatureError,
     _power_split,
 )
-from .lagrange import LagrangeBoundary, storage_balance_form
-from .twovar import TwoVarPolyMatrix, bdf_apply, mul_zeta_plus_eta
+from .lagrange import LagrangeBoundary, _storage_triple
+from .twovar import TwoVarPolyMatrix, _j_matrix, bdf_apply, mul_zeta_plus_eta
 
 __all__ = [
     "Trajectory",
@@ -182,26 +186,6 @@ def _power_trial(structure: BoundaryStructure, split: PowerSplit | None,
     return balance, abs(float(total) - (at_beta - at_alpha)) / scale
 
 
-def _dirac_trial(structure: BoundaryStructure, split: PowerSplit | None,
-                 l1, l2, alpha, beta):
-    """One trial: (form, balance, deviation, form_s, balance_s).
-
-    `form` is the bilinear balance residual of (l1, l2), `balance` the
-    power balance residual of l1 and `deviation` (None without a split) its
-    split deviation, followed by the time of each check.  Each latent's
-    flows, efforts and boundary values are computed once; the form time
-    includes them.
-    """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    start = time.perf_counter()
-    first = _dirac_latent(structure, l1)
-    form = _balance_residual(first, _dirac_latent(structure, l2),
-                             structure.Sigma, alpha, beta)
-    middle = time.perf_counter()
-    balance, deviation = _power_trial(structure, split, first, alpha, beta)
-    return form, balance, deviation, middle - start, time.perf_counter() - middle
-
-
 def _optional_split(structure: BoundaryStructure,
                     split_tolerance: float) -> PowerSplit | None:
     try:
@@ -214,12 +198,11 @@ def check_dirac_form(structure: BoundaryStructure, l1, l2, alpha, beta
                      ) -> VerificationReport:
     """Residual of the full bilinear balance for one trajectory pair:
     interior pairing integral minus the boundary bracket difference."""
-    start = time.perf_counter()
-    form = _balance_residual(_dirac_latent(structure, l1),
-                             _dirac_latent(structure, l2), structure.Sigma,
-                             Fraction(alpha), Fraction(beta))
-    return VerificationReport("dirac_form", structure.describe(), 1,
-                              (form,), time.perf_counter() - start)
+    (report,) = _single_check(
+        "dirac_form", structure.describe(), 1,
+        [(l1, l2, Fraction(alpha), Fraction(beta))],
+        partial(_dirac_latent, structure), structure.Sigma)
+    return report
 
 
 def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
@@ -279,6 +262,35 @@ def _latent_trials(m: int, trials: int, degrees, seed: int, interval):
             yield t1.l, t2.l, Fraction(interval[0]), Fraction(interval[1])
 
 
+def _constrained_trials(structure: ConstrainedStructure, trials: int,
+                        degrees, seed: int, interval):
+    """Per trial, two random constrained solutions and the interval: the
+    given one, or else one drawn from the third sub-seed."""
+    trial_degrees = _trial_degrees(trials, degrees)
+    bases = {d: polynomial_kernel_basis(structure.G, d)
+             for d in dict.fromkeys(trial_degrees)}
+    for t, degree in enumerate(trial_degrees):
+        basis = bases[degree]
+        s1 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 0))
+        s2 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 1))
+        if interval is None:
+            yield s1, s2, *_random_interval(random.Random(_sub_seed(seed, t, 2)))
+        else:
+            yield s1, s2, Fraction(interval[0]), Fraction(interval[1])
+
+
+def _balance_trials(draws, triple, middle, sign: int = 1):
+    """For each drawn ``(x1, x2, alpha, beta)``, the balance residual of
+    ``triple(x1)`` and ``triple(x2)`` through `middle` with `sign`, the
+    first triple, the interval and the time taken by both."""
+    for x1, x2, alpha, beta in draws:
+        start = time.perf_counter()
+        first = triple(x1)
+        residual = _balance_residual(first, triple(x2), middle, alpha, beta,
+                                     sign)
+        yield residual, first, alpha, beta, time.perf_counter() - start
+
+
 def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
                 degrees=DEFAULT_DEGREES, seed: int = 0, interval=None,
                 split_tolerance: float = DEFAULT_SPLIT_TOLERANCE
@@ -289,54 +301,59 @@ def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
     power-balance report also carries one split deviation per trial.  The
     form report's `elapsed` includes evaluating each latent once, the power
     balance's includes the split; neither includes drawing trajectories.
+    The power balance of a trial reuses the (efforts, flows, boundary
+    values) of its first latent from the form.
     """
     start = time.perf_counter()
     split = _optional_split(structure, split_tolerance)
-    split_elapsed = time.perf_counter() - start
-    rows = [_dirac_trial(structure, split, *trial) for trial in
-            _latent_trials(structure.rep.m, trials, degrees, seed, interval)]
-    form = VerificationReport("dirac_form", structure.describe(), trials,
-                              tuple(r[0] for r in rows), sum(r[3] for r in rows))
-    balance = VerificationReport(
-        "power_balance", structure.describe(), trials,
-        tuple(r[1] for r in rows), split_elapsed + sum(r[4] for r in rows),
-        tuple(r[2] for r in rows if split is not None),
-        None if split is None else split_tolerance)
-    return form, balance
+    balance_s = time.perf_counter() - start
+    form, balance, deviations = [], [], []
+    form_s = 0.0
+    for residual, first, alpha, beta, elapsed in _balance_trials(
+            _latent_trials(structure.rep.m, trials, degrees, seed, interval),
+            partial(_dirac_latent, structure), structure.Sigma):
+        form.append(residual)
+        form_s += elapsed
+        start = time.perf_counter()
+        power, deviation = _power_trial(structure, split, first, alpha, beta)
+        balance_s += time.perf_counter() - start
+        balance.append(power)
+        deviations.append(deviation)
+    describe = structure.describe()
+    return (VerificationReport("dirac_form", describe, trials, tuple(form),
+                               form_s),
+            VerificationReport(
+                "power_balance", describe, trials, tuple(balance), balance_s,
+                () if split is None else tuple(deviations),
+                None if split is None else split_tolerance))
+
+
+def _single_check(check: str, instance: str, trials: int, draws, triple,
+                  middle, sign: int = 1) -> tuple[VerificationReport]:
+    """One report over the residuals of the trial loop; its `elapsed`
+    includes drawing the trials."""
+    start = time.perf_counter()
+    residuals = tuple(row[0] for row in
+                      _balance_trials(draws, triple, middle, sign))
+    return (VerificationReport(check, instance, trials, residuals,
+                               time.perf_counter() - start),)
 
 
 def constrained_suite(structure: ConstrainedStructure,
                       trials: int = DEFAULT_TRIALS, degrees=DEFAULT_DEGREES,
                       seed: int = 0, interval=None) -> tuple[VerificationReport, ...]:
     """Constrained balance residuals over pairs of random exact solutions."""
-    start = time.perf_counter()
-    residuals = []
-    trial_degrees = _trial_degrees(trials, degrees)
-    bases = {d: polynomial_kernel_basis(structure.G, d)
-             for d in dict.fromkeys(trial_degrees)}
-    for t, degree in enumerate(trial_degrees):
-        basis = bases[degree]
-        s1 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 0))
-        s2 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 1))
-        if interval is None:
-            rng = random.Random(_sub_seed(seed, t, 2))
-            a, b = _random_interval(rng)
-        else:
-            a, b = Fraction(interval[0]), Fraction(interval[1])
-        residuals.append(constrained_balance_form(structure, s1, s2, (a, b)))
-    return (VerificationReport("constrained_balance", structure.describe(),
-                               trials, tuple(residuals),
-                               time.perf_counter() - start),)
+    return _single_check(
+        "constrained_balance", structure.describe(), trials,
+        _constrained_trials(structure, trials, degrees, seed, interval),
+        partial(_constrained_triple, structure), _constrained_middle(structure))
 
 
 def lagrange_suite(boundary: LagrangeBoundary, trials: int = DEFAULT_TRIALS,
                    degrees=DEFAULT_DEGREES, seed: int = 0, interval=None
                    ) -> tuple[VerificationReport, ...]:
     """Symplectic balance residuals over random trajectory pairs."""
-    start = time.perf_counter()
-    residuals = [storage_balance_form(boundary, l1, l2, a, b)
-                 for l1, l2, a, b in _latent_trials(boundary.m, trials,
-                                                    degrees, seed, interval)]
-    return (VerificationReport("symplectic_balance", boundary.describe(),
-                               trials, tuple(residuals),
-                               time.perf_counter() - start),)
+    return _single_check(
+        "symplectic_balance", boundary.describe(), trials,
+        _latent_trials(boundary.m, trials, degrees, seed, interval),
+        partial(_storage_triple, boundary), -_j_matrix(boundary.p), sign=-1)

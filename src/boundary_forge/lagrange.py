@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Poly, PolyMatrix, _balance_residual, full_rank_everywhere
-from .dirac import ConditionReport
+from .dirac import ConditionReport, _condition_reports
 from .twovar import TwoVarPolyMatrix, _j_matrix, div_zeta_plus_eta, factor_skew
 
 __all__ = [
@@ -129,17 +129,11 @@ def lagrange_condition_reports(P: PolyMatrix, S: PolyMatrix) -> tuple[ConditionR
     if P.rows != P.cols or S.rows != S.cols or P.rows != S.rows:
         raise ValueError(f"pair must be square and equal-sized, "
                          f"got {P.shape} and {S.shape}")
-    residual = P.transpose().para() * S - S.transpose().para() * P
-    sym_ok = residual.is_zero()
-    sym = ConditionReport(
-        "symmetry_condition", sym_ok,
-        None if sym_ok else f"P(-s)^T S(s) - S(-s)^T P(s) = {residual}")
-    stacked = PolyMatrix.vstack([P, S])
-    rank_ok = full_rank_everywhere(stacked.transpose())
-    rank = ConditionReport(
-        "rank_condition", rank_ok,
-        None if rank_ok else "[P(s); S(s)] loses column rank at some complex point")
-    return (sym, rank)
+    return _condition_reports(
+        "symmetry_condition", "P(-s)^T S(s) - S(-s)^T P(s)",
+        P.transpose().para() * S - S.transpose().para() * P,
+        full_rank_everywhere(PolyMatrix.vstack([P, S]).transpose()),
+        "[P(s); S(s)] loses column rank")
 
 
 def validate_lagrange_pair(P: PolyMatrix, S: PolyMatrix) -> LagrangePair:
@@ -173,6 +167,12 @@ def lagrange_boundary(pair: LagrangePair) -> LagrangeBoundary:
     return LagrangeBoundary(pair, rep, theta, lam, w, p)
 
 
+def _storage_triple(boundary: LagrangeBoundary, latent):
+    """The (states, efforts, W l) of one latent in the symplectic balance."""
+    return (boundary.states(latent), boundary.efforts(latent),
+            boundary.boundary(latent))
+
+
 def storage_balance_form(boundary: LagrangeBoundary, latent1, latent2, alpha, beta) -> Fraction:
     """Exact residual of the symplectic balance over [alpha, beta].
 
@@ -185,9 +185,7 @@ def storage_balance_form(boundary: LagrangeBoundary, latent1, latent2, alpha, be
     computed in rational arithmetic; zero for all polynomial latents.  The
     bracket is w1^T J_p w2, so the middle of the balance is -J_p.
     """
-    def latent(l):
-        return boundary.states(l), boundary.efforts(l), boundary.boundary(l)
-
-    return _balance_residual(latent(latent1), latent(latent2),
+    return _balance_residual(_storage_triple(boundary, latent1),
+                             _storage_triple(boundary, latent2),
                              -_j_matrix(boundary.p), Fraction(alpha),
                              Fraction(beta), sign=-1)

@@ -421,3 +421,43 @@ def test_default_tolerance_report_has_no_failure_fields():
     assert "failed" not in report["verification"]
     assert list(report["verification"]) == ["trials", "seed", "degrees",
                                             "checks"]
+
+
+# numbers the parser refuses before converting them ---------------------------
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "2E3", "-1/3e2"])
+def test_matrix_entry_in_exponent_notation_is_refused(tmp_path, capsys, entry):
+    # Fraction would build 10**exponent first; "1e10000000" took seconds
+    path = write_problem(tmp_path, {"kind": "skew_adjoint", "J": [[[entry]]]})
+    with pytest.raises(ParseError, match=r"J\[0\]\[0\]\[0\]: exponent"):
+        parse_problem(path)
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("error: J[0][0][0]: exponent")
+
+
+def test_interval_in_exponent_notation_is_refused(tmp_path, capsys):
+    ok = write_problem(tmp_path, COUPLING)
+    assert main(["check", ok, "--interval", "0", "1e10000000"]) == 2
+    assert capsys.readouterr().err.startswith("error: --interval B: exponent")
+    data = dict(COUPLING, settings={"interval": ["1E2", "200"]})
+    with pytest.raises(ParseError, match=r"settings\.interval\[0\]: exponent"):
+        parse_problem_data(data)
+
+
+@pytest.mark.parametrize("field", ["entry", "seed"])
+def test_integer_literal_beyond_digit_limit_names_file(tmp_path, capsys, field):
+    huge = "7" * 5000
+    if field == "entry":
+        text = '{"kind": "skew_adjoint", "J": [[[' + huge + ']]]}'
+    else:
+        text = ('{"kind": "skew_adjoint", "J": [[["0"]]], '
+                '"settings": {"seed": ' + huge + '}}')
+    path = tmp_path / "huge_literal.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_problem(str(path))
+    assert str(err.value).startswith(f"{path}: cannot decode")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1

@@ -16,9 +16,12 @@ Regenerate (only when an output change is intended) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import importlib
 import json
 import math
 import os
+
+import pytest
 
 from boundary_forge.cli import RunOptions, parse_problem, run
 
@@ -81,6 +84,36 @@ def test_reports_match_golden():
     assert sorted(golden) == problems
     mismatches = list(_mismatches(golden, collect()))
     assert not mismatches, "\n".join(mismatches[:20])
+
+
+class _Synthesized(Exception):
+    pass
+
+
+def test_check_synthesizes_nothing(monkeypatch):
+    # every boundary synthesis divides by zeta + eta; with that division
+    # raising, `check` must still give its golden report
+    def forbidden(phi):
+        raise _Synthesized
+
+    for name in ("dirac", "lagrange", "constrained"):
+        monkeypatch.setattr(importlib.import_module(f"boundary_forge.{name}"),
+                            "div_zeta_plus_eta", forbidden)
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    reached = 0
+    for name in sorted(golden):
+        problem = parse_problem(os.path.join(PROBLEMS, name))
+        report = run("check", problem, RunOptions())
+        stripped = _strip_elapsed(json.loads(json.dumps(report)))
+        mismatches = list(_mismatches(golden[name]["check"], stripped))
+        assert not mismatches, "\n".join(mismatches)
+        if report["exit_status"] == 0:
+            # the patch is live: one subcommand further reaches it
+            with pytest.raises(_Synthesized):
+                run("boundary", problem, RunOptions())
+            reached += 1
+    assert reached == len(golden) - 1
 
 
 def test_mismatch_detector_tolerances():
