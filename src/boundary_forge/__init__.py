@@ -23,7 +23,6 @@ from .algebra import (
     as_rat,
     full_rank_everywhere,
     inertia_congruence,
-    poly_gcd,
     polynomial_kernel_basis,
     rank_factorization,
     skew_canonical_congruence,

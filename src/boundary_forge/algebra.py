@@ -31,7 +31,6 @@ __all__ = [
     "InconsistentSystemError",
     "UnderdeterminedSystemError",
     "as_rat",
-    "poly_gcd",
     "full_rank_everywhere",
     "solve_linear",
     "inertia_congruence",
@@ -701,26 +700,6 @@ class Inertia:
 # ---------------------------------------------------------------------------
 
 
-def poly_gcd(polys: Iterable[Poly]) -> Poly:
-    """Monic greatest common divisor of a collection of polynomials.
-
-    Zero polynomials are ignored; if every input is zero an
-    :class:`AllZeroError` is raised.
-    """
-    nonzero = [p for p in polys if not p.is_zero]
-    if not nonzero:
-        raise AllZeroError("gcd of all-zero polynomial collection")
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        a, b = g, p
-        while not b.is_zero:
-            a, b = b, a % b
-        g = a
-        if g.degree == 0:
-            break
-    return g.monic()
-
-
 def full_rank_everywhere(p: PolyMatrix) -> bool:
     """Whether ``p`` (with rows <= cols) has full row rank at every complex
     point.
@@ -829,27 +808,36 @@ def solve_linear(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.rows != b.rows:
         raise ValueError("left-hand side and right-hand side row counts differ")
     aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-    if not aug:
-        # zero equations: solvable iff there are no unknowns to pin down
-        if a.cols == 0:
-            return RatMatrix.zero(0, b.cols)
+    if not aug and a.cols:
+        # zero equations pin down no unknown
         raise UnderdeterminedSystemError(
             f"no equations constrain {a.cols} unknowns", dof=a.cols)
     reduced, pivots = _rref(aug, a.cols)
+    return _unique_solution(reduced, pivots, a.cols, a.cols, a.cols + b.cols)
+
+
+def _unique_solution(reduced: list[list[Fraction]], pivots: list[int],
+                     unknowns: int, start: int, stop: int) -> RatMatrix:
+    """Solution for the right-hand-side columns ``start:stop`` of an
+    augmented system that :func:`_rref` reduced on its first ``unknowns``
+    columns, raising as :func:`solve_linear` does.
+
+    The checks read only those columns, so one reduction serves several
+    right-hand sides, each with its own consistency check.
+    """
     rank = len(pivots)
-    for i in range(rank, len(reduced)):
-        tail = reduced[i][a.cols:]
+    for row in reduced[rank:]:
+        tail = row[start:stop]
         if any(v != 0 for v in tail):
             raise InconsistentSystemError(
                 "system has no solution",
                 witness=f"row reduces to 0 = {[str(v) for v in tail]}")
-    if rank < a.cols:
+    if rank < unknowns:
         raise UnderdeterminedSystemError(
-            f"solution space has dimension {a.cols - rank}", dof=a.cols - rank)
-    x = [[_ZERO] * b.cols for _ in range(a.cols)]
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][a.cols:]
-    return RatMatrix(a.cols, b.cols, x)
+            f"solution space has dimension {unknowns - rank}", dof=unknowns - rank)
+    # full rank: the pivots are the columns 0, 1, ..., unknowns - 1 in order
+    return RatMatrix(unknowns, stop - start,
+                     [row[start:stop] for row in reduced[:unknowns]])
 
 
 def inertia_congruence(s: RatMatrix) -> tuple[Inertia, RatMatrix]:
@@ -963,30 +951,31 @@ def skew_canonical_congruence(s: RatMatrix) -> tuple[int, RatMatrix]:
     n = s.rows
     remaining: list[list[Fraction]] = [
         [_ONE if i == j else _ZERO for i in range(n)] for j in range(n)]
+    # gram[k][l] = remaining[k]^T s remaining[l], kept instead of re-formed
+    gram = [list(row) for row in s.entries]
     us: list[list[Fraction]] = []
     vs: list[list[Fraction]] = []
     while True:
-        found = None
-        for ii in range(len(remaining)):
-            for jj in range(ii + 1, len(remaining)):
-                if _bilinear(remaining[ii], s, remaining[jj]) != 0:
-                    found = (ii, jj)
-                    break
-            if found:
-                break
+        found = next(((ii, jj) for ii in range(len(remaining))
+                      for jj in range(ii + 1, len(remaining))
+                      if gram[ii][jj] != 0), None)
         if not found:
             break
         ii, jj = found
-        v = remaining.pop(jj)
-        u = remaining.pop(ii)
-        c = _bilinear(u, s, v)
-        v = [x / c for x in v]
-        new_rest = []
-        for w in remaining:
-            bu = _bilinear(u, s, w)
-            bv = _bilinear(v, s, w)
-            new_rest.append([wx - bu * vx + bv * ux for wx, vx, ux in zip(w, v, u)])
-        remaining = new_rest
+        c = gram[ii][jj]
+        u = remaining[ii]
+        v = [x / c for x in remaining[jj]]
+        rest = [k for k in range(len(remaining)) if k not in found]
+        bu = [gram[ii][k] for k in rest]
+        bv = [gram[jj][k] / c for k in rest]
+        # w_k -> w_k - bu_k v + bv_k u; as u^T s v = 1 and s is skew, the
+        # pairings change by bv_k bu_l - bu_k bv_l
+        remaining = [[wx - bu_k * vx + bv_k * ux
+                      for wx, vx, ux in zip(remaining[k], v, u)]
+                     for k, bu_k, bv_k in zip(rest, bu, bv)]
+        gram = [[gram[k][l] + bv_k * bu_l - bu_k * bv_l
+                 for l, bu_l, bv_l in zip(rest, bu, bv)]
+                for k, bu_k, bv_k in zip(rest, bu, bv)]
         us.append(u)
         vs.append(v)
     p = len(us)

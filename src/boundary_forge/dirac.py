@@ -108,7 +108,7 @@ class UnbalancedSignatureError(ValueError):
 
 
 class SplitToleranceError(ArithmeticError):
-    """The floating-point split exceeded its tolerance (defensive)."""
+    """The floating-point split exceeded its tolerance or the float range."""
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,14 @@ def _power_split(sigma: RatMatrix, inertia: Inertia,
     n = sigma.rows
     if n == 0:
         return PowerSplit((), 0, 0.0, tolerance)
-    sig = np.array(sigma.to_float(), dtype=float)
+    try:
+        sig = np.array(sigma.to_float(), dtype=float)
+    except OverflowError:
+        big = sigma.max_abs()
+        raise SplitToleranceError(
+            f"pairing entry of magnitude about 2^"
+            f"{big.numerator.bit_length() - big.denominator.bit_length()} "
+            f"exceeds the float range of the split") from None
     eigvals, eigvecs = np.linalg.eigh(sig)
     order = np.argsort(-eigvals)  # positives first; exact inertia fixed the counts
     eigvals = eigvals[order]

@@ -43,6 +43,7 @@ from .dirac import (
     DEFAULT_SPLIT_TOLERANCE,
     BoundaryStructure,
     PowerSplit,
+    SplitToleranceError,
     UnbalancedSignatureError,
     _power_split,
 )
@@ -180,10 +181,16 @@ def _power_trial(structure: BoundaryStructure, split: PowerSplit | None,
         f_delta, e_delta = split.apply([p(point) for p in b])
         return sum(x * y for x, y in zip(e_delta, f_delta))
 
-    at_beta = boundary_power(beta)
-    at_alpha = boundary_power(alpha)
-    scale = max(1.0, abs(float(total)), abs(at_beta), abs(at_alpha))
-    return balance, abs(float(total) - (at_beta - at_alpha)) / scale
+    try:
+        interior = float(total)
+        at_beta = boundary_power(beta)
+        at_alpha = boundary_power(alpha)
+    except OverflowError:
+        raise SplitToleranceError(
+            "a trial's power or boundary value exceeds the float range "
+            "of the split") from None
+    scale = max(1.0, abs(interior), abs(at_beta), abs(at_alpha))
+    return balance, abs(interior - (at_beta - at_alpha)) / scale
 
 
 def _optional_split(structure: BoundaryStructure,

@@ -9,28 +9,47 @@ default; a swap set exchanges the roles port by port), the realization
     s Z(s) = A Z(s) + B U(s),
     Y(s)   = C Z(s) + D U(s),
 
-solved by coefficient matching over the rationals.  No rational transfer
-matrix is ever formed; properness of the hidden transfer behavior shows up
-as solvability of the two linear systems, and non-properness is repaired by
-searching swap sets (:func:`partition_search`).
+solved by coefficient matching over the rationals: one row reduction of
+the coefficients of [Z; U] serves both right-hand sides.  No rational
+transfer matrix is ever formed; properness of the hidden transfer behavior
+shows up as solvability of the two linear systems, and non-properness is
+repaired by searching swap sets (:func:`partition_search`).
 
 A unique solution automatically satisfies the structure identities
+checked by :func:`verify_realization_structure`
 
     A^T Sigma + Sigma A = 0,   B^T Sigma = C,
     D = -D^T (pairing middle symmetric) or D = D^T (middle skew),
 
 with Sigma the symmetric pairing matrix in the first case and the skew
-middle matrix in the second.  For a flow/effort structure, substituting
-the realization into (zeta + eta) Z(zeta)^T Sigma Z(eta) = U(zeta)^T Y(eta)
-+ Y(zeta)^T U(eta) leaves a bilinear form in the rows of [Z; U] with middle
-blocks A^T Sigma + Sigma A, B^T Sigma - C and D + D^T.  A unique solution
-means those rows are linearly independent, so the blocks vanish, and
-A Sigma^{-1} is skew as Sigma is invertible; such a realization is not
-re-checked.  A state/effort realization is checked once per middle
-candidate, since that check picks the middle.
-:func:`verify_realization_structure` reports the exact residuals; it
-reports the aggregate A Sigma^{-1} residual as zero without inverting Sigma
-whenever A^T Sigma + Sigma A is zero, which implies it.
+middle matrix in the second, and the aggregate A Sigma^{-1} is skew
+respectively symmetric as Sigma is invertible.  A unique solution means
+the coefficient rows of [Z; U] are linearly independent, so a bilinear
+form V(zeta)^T M V(eta) in the rows V of [Z; U] vanishes only for M = 0.
+
+For a flow/effort structure, substituting the realization into
+(zeta + eta) Z(zeta)^T Sigma Z(eta) = U(zeta)^T Y(eta) + Y(zeta)^T U(eta)
+leaves such a form with middle blocks A^T Sigma + Sigma A, B^T Sigma - C
+and D + D^T, which therefore vanish.
+
+For a state/effort structure with boundary rows W, let E = diag(+-1) with
+-1 on the swapped ports.  The factorization (zeta + eta) W(zeta)^T J_p
+W(eta) = N_e(zeta)^T N_x(eta) - N_x(zeta)^T N_e(eta) reads
+
+    (zeta + eta) W(zeta)^T J_p W(eta) = Y(zeta)^T E U(eta) - U(zeta)^T E Y(eta),
+
+as a swapped port exchanges u_i and y_i, which flips the sign of its
+term.  Substituting the realization leaves the middle blocks
+A^T J_p + J_p A, J_p B - C^T E and D^T E - E D, so A^T J_p + J_p A = 0,
+B^T J_p = -E C and E D = D^T E.  The middle -J_p therefore passes exactly
+when E C = C and D = D^T, and +J_p exactly when E C = -C and D = D^T:
+the nonzero rows of C must all belong to kept ports, or all to swapped
+ones.  When both pass (C = 0), -J_p is taken.  Neither passing is a
+failure, as for a swap that splits a symplectic port pair.  So no
+realization is re-checked; :func:`verify_realization_structure` reports
+the exact residuals, and reports the aggregate A Sigma^{-1} residual as
+zero without inverting Sigma whenever A^T Sigma + Sigma A is zero, which
+implies it.
 
 The same uniqueness drives :func:`partition_search`.  A swap set can only
 be realized when the coefficient rows of [Z; U] are linearly independent,
@@ -54,7 +73,7 @@ from .algebra import (
     RatMatrix,
     UnderdeterminedSystemError,
     _rref,
-    solve_linear,
+    _unique_solution,
 )
 from .dirac import BoundaryStructure
 from .lagrange import LagrangeBoundary
@@ -194,32 +213,29 @@ def realize(structure, swap=()) -> Realization:
 
     Accepts the output of the flow/effort pipeline or the state/effort
     pipeline.  Raises :class:`UnsolvableError` or
-    :class:`NonUniqueSolutionError` with witnesses.  The structure
-    identities of a flow/effort realization are implied by the uniqueness
-    of the solution and are not re-checked; a state/effort realization is
-    returned with the first middle candidate whose identities hold.
+    :class:`NonUniqueSolutionError` with witnesses: first for the state
+    equation (no solution, then no unique one), then for the output
+    equation, and for a state/effort structure when no middle fits.  Both
+    equations are solved from one reduction of the coefficients of [Z; U].
+    The structure identities are implied by the uniqueness of the solution
+    and are not re-checked (see the module docstring);
     :func:`verify_realization_structure` reports them exactly.
     """
     kind, z, first = _state_and_input_rows(structure)
-    if kind == "lagrange":
-        j_p = _j_matrix(structure.p)
-        # middle candidates: -J_p (direct roles) and +J_p (fully exchanged),
-        # one and the same when p = 0
-        middles = [-j_p, j_p] if structure.p else [j_p]
-
     swap = _validate_swap(swap, structure.m)
     u, y = _io_rows(first, structure.rep.N_e, swap)
     n, m = z.rows, u.rows
-    s = Poly.variable()
-    sz = s * z
-    stack = PolyMatrix.vstack([z, u])
-    span = _coeff_span(stack, sz, y)
-    coeff_cols = RatMatrix.hstack([stack.coeff(k) for k in range(span + 1)])
+    # X [Z; U] = [s Z; Y] coefficient by coefficient: one equation per
+    # coefficient of each column, unknowns then both right-hand sides
+    rows = PolyMatrix.vstack([z, u, Poly.variable() * z, y])
+    span = _coeff_span(rows)
+    coeffs = RatMatrix.hstack([rows.coeff(k) for k in range(span + 1)])
+    reduced, pivots = _rref([list(r) for r in coeffs.transpose().entries],
+                            n + m)
 
-    def match(rhs: PolyMatrix, label: str) -> RatMatrix:
-        rhs_cols = RatMatrix.hstack([rhs.coeff(k) for k in range(span + 1)])
+    def match(start: int, stop: int, label: str) -> RatMatrix:
         try:
-            solution = solve_linear(coeff_cols.transpose(), rhs_cols.transpose())
+            solution = _unique_solution(reduced, pivots, n + m, start, stop)
         except InconsistentSystemError as exc:
             raise UnsolvableError(
                 f"coefficient matching for {label} has no solution "
@@ -234,22 +250,24 @@ def realize(structure, swap=()) -> Realization:
         a = RatMatrix.zero(0, 0)
         b = RatMatrix.zero(0, m)
     else:
-        ab = match(sz, "the state equation")
+        ab = match(n + m, 2 * n + m, "the state equation")
         a = ab.submatrix(range(n), range(n))
         b = ab.submatrix(range(n), range(n, n + m))
-    cd = match(y, "the output equation")
+    cd = match(2 * n + m, 2 * n + 2 * m, "the output equation")
     c = cd.submatrix(range(m), range(n))
     d = cd.submatrix(range(m), range(n, n + m))
-    # the exact solves matched every coefficient up to the top degree of
+    # the exact solve matched every coefficient up to the top degree of
     # Z, U, s Z and Y, so s Z = A Z + B U and Y = C Z + D U hold exactly
 
     if kind == "dirac":
-        # unique coefficient matching forces the structure identities
         return Realization(a, b, c, d, structure.Sigma, swap, kind, z, u, y)
-    for middle in middles:
-        candidate = Realization(a, b, c, d, middle, swap, kind, z, u, y)
-        if verify_realization_structure(candidate).all_pass:
-            return candidate
+    # -J_p fits iff E C = C and +J_p iff E C = -C, each with D = D^T; the
+    # nonzero rows of C tell which ports they belong to, swapped or not
+    swapped = {i + 1 in swap for i, row in enumerate(c.entries) if any(row)}
+    if d.is_symmetric() and len(swapped) < 2:
+        j_p = _j_matrix(structure.p)
+        return Realization(a, b, c, d, j_p if True in swapped else -j_p,
+                           swap, kind, z, u, y)
     raise UnsolvableError(
         f"no constant skew middle matrix validates the structure identities "
         f"with swap {list(swap)}; exchanging only part of a symplectic port "

@@ -16,12 +16,13 @@ from boundary_forge import (
     as_rat,
     full_rank_everywhere,
     inertia_congruence,
-    poly_gcd,
     polynomial_kernel_basis,
     rank_factorization,
     skew_canonical_congruence,
     solve_linear,
 )
+
+from oracles import poly_gcd
 
 s = Poly.variable()
 

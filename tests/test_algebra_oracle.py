@@ -9,6 +9,9 @@ signature is compared with Descartes' sign count on the characteristic
 polynomial (exact here: a symmetric matrix has only real eigenvalues).
 The reduced matrix of the congruence is checked to be exactly
 ``t.T @ s @ t``, which `factor_symmetric` relies on for Sigma.
+`skew_canonical_congruence`, which keeps the Gram matrix of its remaining
+vectors, gives the same ``(p, t)`` as the Gram-Schmidt that pairs them
+through S afresh (`oracles.skew_congruence_by_bilinears`).
 """
 
 from fractions import Fraction
@@ -27,13 +30,14 @@ from boundary_forge import (  # noqa: E402
     boundary_structure,
     full_rank_everywhere,
     inertia_congruence,
-    poly_gcd,
     skew_adjoint_structure,
+    skew_canonical_congruence,
     validate_dirac_pair,
 )
 from boundary_forge.algebra import _congruence_reduce  # noqa: E402
 
 from instances import DIRAC_INSTANCES, SKEW_INSTANCES  # noqa: E402
+from oracles import poly_gcd, skew_congruence_by_bilinears  # noqa: E402
 
 x = sympy.Symbol("x")
 s = Poly.variable()
@@ -306,3 +310,19 @@ def test_reduced_matrix_on_boundary_coefficient_matrices():
             continue
     for structure in structures:
         assert_reduced_is_congruence(structure.pi.to_coeff().mat)
+
+
+@st.composite
+def skew_matrices(draw):
+    """Skew matrices up to 6 x 6, some of them rank deficient."""
+    n = draw(st.integers(0, 6))
+    a = draw(rat_matrices(rows=n, cols=n))
+    if n and draw(st.booleans()):
+        a = RatMatrix.vstack([a.take_rows(range(n - 1)), RatMatrix.zero(1, n)])
+    return a - a.T
+
+
+@settings(max_examples=60)
+@given(skew_matrices())
+def test_skew_congruence_keeps_the_gram_schmidt_pivots(a):
+    assert skew_canonical_congruence(a) == skew_congruence_by_bilinears(a)

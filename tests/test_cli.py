@@ -281,6 +281,24 @@ def test_main_split_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pairing_beyond_the_float_range_fails_the_split(tmp_path, capsys):
+    # a 401-digit coefficient makes Sigma too large for a float
+    c = str(10 ** 400 + 7)
+    huge = write_problem(tmp_path, {
+        "kind": "skew_adjoint",
+        "J": [[["0"], ["0", c]], [["0", c], ["0"]]],
+    })
+    for subcommand, section in (("split", "split"), ("verify", "verification"),
+                                ("report", "split")):
+        code = main([subcommand, huge, "--trials", "2",
+                     "--format", "structured"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == "", subcommand
+        failed = json.loads(out)[section]
+        assert failed["failed"] is True
+        assert "exceeds the float range" in failed["witness"]
+
+
 def test_main_structured_output_round_trips(tmp_path, capsys):
     ok = write_problem(tmp_path, COUPLING)
     code = main(["verify", ok, "--trials", "4", "--format", "structured"])

@@ -11,6 +11,7 @@ from boundary_forge import (
     Poly,
     PolyMatrix,
     RatMatrix,
+    SplitToleranceError,
     TwoVarPolyMatrix,
     VerificationReport,
     check_dirac_form,
@@ -83,6 +84,12 @@ def test_check_power_balance_with_split():
     assert report.split_tolerance is not None
     assert len(report.split_deviations) == 1
     assert report.split_deviations[0] <= report.split_tolerance
+
+
+def test_power_trial_beyond_the_float_range_fails_the_split():
+    huge = Poly([10 ** 400])
+    with pytest.raises(SplitToleranceError, match="float range"):
+        check_power_balance(example_structure(), (huge, huge), 0, 1)
 
 
 def test_check_power_balance_unbalanced_has_no_deviations():

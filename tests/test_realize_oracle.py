@@ -1,13 +1,11 @@
-"""Test-only oracle for the structure identities `realize` does not check.
+"""Test-only oracles for the structure identities `realize` does not check.
 
-A flow/effort realization is returned without running
-`verify_realization_structure`: a unique coefficient-matching solution
-forces A^T Sigma + Sigma A = 0, B^T Sigma = C and D = -D^T, and with an
-invertible Sigma also the skew aggregate A Sigma^-1 (see the `realize`
-module docstring).  Here every swap set that `realize` accepts is verified
-in full on curated instances, repository problem files, the J = s^d
-family and random skew-adjoint operators.  A `report` then runs the
-verification once, for its `identities` field.
+A realization is returned without running `verify_realization_structure`:
+a unique coefficient-matching solution forces the structure identities
+(see the `realize` module docstring).  Here every swap set that `realize`
+accepts is verified in full on curated instances, repository problem
+files, the J = s^d family and random skew-adjoint operators.  A `report`
+runs the verification once, for its `identities` field.
 """
 
 import dataclasses
@@ -152,7 +150,7 @@ def test_report_verifies_realization_once(monkeypatch):
         monkeypatch.setattr(importlib.import_module(name),
                             "verify_realization_structure", counting_verify)
     for name in ("first_order_coupling.json", "scalar_derivative.json",
-                 "constrained_coupling.json"):
+                 "constrained_coupling.json", "second_order_storage.json"):
         calls.clear()
         problem = parse_problem(os.path.join(PROBLEMS, name))
         report = run("report", problem, RunOptions(trials=2))
@@ -189,3 +187,4 @@ def test_aggregate_residual_follows_from_pairing(monkeypatch):
         sigma_inv = r.Sigma.inverse()
         residual = tampered.A.transpose() * r.Sigma + r.Sigma * tampered.A
         assert aggregate.residual == (sigma_inv * residual * sigma_inv).max_abs()
+
