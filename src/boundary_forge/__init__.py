@@ -29,7 +29,6 @@ from .algebra import (
     solve_linear,
 )
 from .twovar import (
-    CoeffMatrix,
     DimensionMismatchError,
     NotDivisibleError,
     TwoVarPolyMatrix,
@@ -52,7 +51,6 @@ from .dirac import (
     UnbalancedSignatureError,
     boundary_structure,
     canonical_power_split,
-    concatenation_compatible,
     dirac_condition_reports,
     image_representation,
     skew_adjoint_residual,
@@ -100,7 +98,6 @@ from .harness import (
     check_dirac_form,
     check_power_balance,
     constrained_suite,
-    derivative_rule_check,
     dirac_suite,
     integrate_pairing,
     lagrange_suite,

@@ -626,6 +626,31 @@ class PolyMatrix(_Matrix):
         return RatMatrix(self.rows, self.cols,
                          [[e.coeff(k) for e in row] for row in self.entries])
 
+    @property
+    def span(self) -> int:
+        """Maximal entry degree, 0 for a zero (or empty) matrix: the last
+        power that :meth:`coeff_rows` needs."""
+        return max((e.degree for row in self.entries for e in row if e.coeffs),
+                   default=0)
+
+    def coeff_rows(self, span: int) -> RatMatrix:
+        """The stacked coefficients ``[P_0 P_1 ... P_span]``: entry
+        ``(i, k * cols + j)`` is the coefficient of ``s**k`` in entry
+        ``(i, j)``.  Linear dependence among the rows does not depend on
+        `span` once it reaches :attr:`span`."""
+        return RatMatrix(self.rows, (span + 1) * self.cols,
+                         [[e.coeff(k) for k in range(span + 1) for e in row]
+                          for row in self.entries])
+
+    @classmethod
+    def from_coeff_rows(cls, rows: RatMatrix, cols: int) -> "PolyMatrix":
+        """The matrix with `cols` columns whose :meth:`coeff_rows` are
+        `rows`."""
+        if cols == 0:
+            return cls.zero(rows.rows, 0)
+        return cls(rows.rows, cols, [[Poly(row[j::cols]) for j in range(cols)]
+                                     for row in rows.entries])
+
     # -- operator action ----------------------------------------------------
 
     def apply(self, vec: Sequence[Poly]) -> tuple[Poly, ...]:
@@ -634,8 +659,7 @@ class PolyMatrix(_Matrix):
         """
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        max_deg = int(self.degree) if self.entries and self.degree != NEG_INF else 0
-        derivs = _derivatives(vec, max_deg)
+        derivs = _derivatives(vec, self.span)
         out = []
         for row in self.entries:
             acc = Poly.zero()

@@ -293,9 +293,9 @@ def _rat_matrix_json(rm: RatMatrix) -> list:
 
 def _two_var_json(tv: TwoVarPolyMatrix) -> list:
     out = []
-    for (k, l) in sorted(tv.blocks):
+    for (k, l), block in sorted(tv.blocks.items()):
         out.append({"zeta_power": k, "eta_power": l,
-                    "matrix": _rat_matrix_json(tv.blocks[(k, l)])})
+                    "matrix": _rat_matrix_json(block)})
     return out
 
 

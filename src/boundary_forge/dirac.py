@@ -35,7 +35,6 @@ flows, f = J(d/dz) e) lands on the familiar orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -68,7 +67,6 @@ __all__ = [
     "skew_adjoint_structure",
     "canonical_power_split",
     "two_point_form",
-    "concatenation_compatible",
 ]
 
 DEFAULT_SPLIT_TOLERANCE = 1e-9
@@ -224,11 +222,12 @@ def boundary_structure(pair: DiracPair) -> BoundaryStructure:
     The pair is not re-checked: pass the result of
     :func:`validate_dirac_pair`, or a pair whose condition reports passed.
     Builds Phi(zeta, eta) = F(-zeta)E(-eta)^T + E(-zeta)F(-eta)^T, divides
-    out (zeta + eta), and factors the quotient symmetrically.
+    out (zeta + eta), and factors the quotient symmetrically.  The second
+    term is the swap-transpose of the first.
     """
     rep = image_representation(pair)
-    phi = (TwoVarPolyMatrix.outer(rep.N_e, rep.N_f)
-           + TwoVarPolyMatrix.outer(rep.N_f, rep.N_e))
+    half = TwoVarPolyMatrix.outer(rep.N_e, rep.N_f)
+    phi = half + half.swap_transpose()
     pi = div_zeta_plus_eta(phi)
     z, sigma = factor_symmetric(pi)
     inertia, _ = inertia_congruence(sigma)
@@ -368,14 +367,3 @@ def two_point_form(structure: BoundaryStructure,
     sigma2 = RatMatrix.block_diag([structure.Sigma, -structure.Sigma])
     p, q, z = structure.inertia.as_tuple()
     return sigma2, _power_split(sigma2, Inertia(p + q, p + q, 2 * z), tolerance)
-
-
-def concatenation_compatible(structure: BoundaryStructure,
-                             latent_left, latent_right, junction) -> bool:
-    """Whether two trajectories meeting at the junction point present equal
-    boundary values there, which is exactly the condition for their
-    concatenation to satisfy the same boundary pairing."""
-    junction = Fraction(junction)
-    b_left = [p(junction) for p in structure.boundary(latent_left)]
-    b_right = [p(junction) for p in structure.boundary(latent_right)]
-    return b_left == b_right

@@ -48,7 +48,7 @@ from .dirac import (
     _power_split,
 )
 from .lagrange import LagrangeBoundary, _storage_triple
-from .twovar import TwoVarPolyMatrix, _j_matrix, bdf_apply, mul_zeta_plus_eta
+from .twovar import _j_matrix
 
 __all__ = [
     "Trajectory",
@@ -57,7 +57,6 @@ __all__ = [
     "integrate_pairing",
     "check_dirac_form",
     "check_power_balance",
-    "derivative_rule_check",
     "dirac_suite",
     "constrained_suite",
     "lagrange_suite",
@@ -227,18 +226,6 @@ def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
                               (balance,), time.perf_counter() - start,
                               () if split is None else (deviation,),
                               None if split is None else split_tolerance)
-
-
-def derivative_rule_check(phi: TwoVarPolyMatrix, v, w) -> VerificationReport:
-    """Exact product-rule identity: differentiating the bilinear form of phi
-    along trajectories equals the bilinear form of (zeta + eta) phi."""
-    start = time.perf_counter()
-    lhs = bdf_apply(phi, v, w).deriv()
-    rhs = bdf_apply(mul_zeta_plus_eta(phi), v, w)
-    diff = lhs - rhs
-    residual = max((abs(c) for c in diff.coeffs), default=Fraction(0))
-    return VerificationReport("derivative_rule", f"form {phi.p}x{phi.q}", 1,
-                              (residual,), time.perf_counter() - start)
 
 
 # suites -----------------------------------------------------------------------

@@ -155,13 +155,14 @@ def lagrange_boundary(pair: LagrangePair) -> LagrangeBoundary:
     P^T N_x + S^T N_e is the symmetry residual at -s, [N_x^T N_e^T] =
     [S(-s)^T, -P(-s)^T] is the rank-condition matrix [P^T S^T] at -s with
     its blocks swapped and one negated, and Theta is skew because it is
-    outer(N_e, N_x) - outer(N_x, N_e).
+    A - A.swap_transpose() for A = outer(N_e, N_x), and
+    A.swap_transpose() = outer(N_x, N_e).
     """
     n_x = pair.S.para()
     n_e = -pair.P.para()
     rep = LagrangeImageRep(n_x, n_e)
-    theta = (TwoVarPolyMatrix.outer(n_e, n_x)
-             - TwoVarPolyMatrix.outer(n_x, n_e))
+    half = TwoVarPolyMatrix.outer(n_e, n_x)
+    theta = half - half.swap_transpose()
     lam = div_zeta_plus_eta(theta)
     w, p = factor_skew(lam)
     return LagrangeBoundary(pair, rep, theta, lam, w, p)

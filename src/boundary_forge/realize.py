@@ -66,7 +66,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import (
-    NEG_INF,
     InconsistentSystemError,
     Poly,
     PolyMatrix,
@@ -186,10 +185,6 @@ def _io_rows(first: PolyMatrix, second: PolyMatrix,
             PolyMatrix.from_rows([b for _, b in rows]))
 
 
-def _coeff_span(*mats: PolyMatrix) -> int:
-    return max((int(m.degree) for m in mats if m.degree != NEG_INF), default=0)
-
-
 def _state_and_input_rows(structure) -> tuple[str, PolyMatrix, PolyMatrix]:
     """Kind, state rows (Z or W) and unswapped input rows (N_f or N_x)."""
     if isinstance(structure, BoundaryStructure):
@@ -228,8 +223,7 @@ def realize(structure, swap=()) -> Realization:
     # X [Z; U] = [s Z; Y] coefficient by coefficient: one equation per
     # coefficient of each column, unknowns then both right-hand sides
     rows = PolyMatrix.vstack([z, u, Poly.variable() * z, y])
-    span = _coeff_span(rows)
-    coeffs = RatMatrix.hstack([rows.coeff(k) for k in range(span + 1)])
+    coeffs = rows.coeff_rows(rows.span)
     reduced, pivots = _rref([list(r) for r in coeffs.transpose().entries],
                             n + m)
 
@@ -296,11 +290,7 @@ def _independent_swaps(structure):
     second = structure.rep.N_e
     # padding with zero top coefficients changes no linear dependence, so
     # one span serves every swap set
-    span = _coeff_span(z, first, second)
-
-    def coeff_rows(mat: PolyMatrix) -> list[list[Fraction]]:
-        return [[e.coeff(k) for k in range(span + 1) for e in row]
-                for row in mat.entries]
+    span = max(z.span, first.span, second.span)
 
     def reduce(vec: list[Fraction], basis) -> list[Fraction]:
         # each basis row is 1 at its pivot and 0 at the pivots before it
@@ -319,12 +309,14 @@ def _independent_swaps(structure):
         inv = 1 / vec[p]
         return basis + [(p, [x * inv if x else x for x in vec])]
 
-    z_rows, pivots = _rref(coeff_rows(z), (span + 1) * z.cols)
+    z_rows, pivots = _rref([list(r) for r in z.coeff_rows(span).entries],
+                           (span + 1) * z.cols)
     if len(pivots) < z.rows:
         return  # [Z; U] is dependent for every U
     z_basis = list(zip(pivots, z_rows))
     ports = [(reduce(f, z_basis), reduce(e, z_basis))
-             for f, e in zip(coeff_rows(first), coeff_rows(second))]
+             for f, e in zip(first.coeff_rows(span).entries,
+                             second.coeff_rows(span).entries)]
     m = len(ports)
 
     def search(i: int, budget: int, basis, chosen: tuple[int, ...]):

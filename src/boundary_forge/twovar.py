@@ -6,9 +6,15 @@ differential operator on pairs of polynomial vector functions,
 
     apply(Phi, v, w)(z) = sum_{k,l} (d^k v / dz^k)^T Phi_kl (d^l w / dz^l),
 
-and is equivalently encoded by its block coefficient matrix: the
-(M+1)p x (M+1)q array whose (k, l) block is Phi_kl.  Rank-revealing
-decompositions of that coefficient matrix give minimal factorizations
+and is stored as its block coefficient matrix: the (M+1)p x (M+1)q array
+whose (k, l) block is Phi_kl, with M the largest exponent present.  In that
+calculus Phi(eta, zeta)^T is the transposed coefficient matrix, so Phi is
+symmetric or skew exactly when the matrix is; X(zeta)^T Y(eta) has the
+coefficient matrix X~^T Y~, with X~ = [X_0 X_1 ... X_M] the stacked
+coefficients of :meth:`PolyMatrix.coeff_rows`; and multiplying by
+(zeta + eta) adds the matrix shifted down one block to the matrix shifted
+right one block.  Congruence and rank factorizations of the coefficient
+matrix give minimal factorizations
 
     Phi(zeta, eta) = X(zeta)^T Y(eta)                    (general)
     Phi(zeta, eta) = Z(zeta)^T Sigma Z(eta)              (symmetric)
@@ -21,7 +27,6 @@ J_p = [[0, I_p], [-I_p, 0]].  Everything here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -31,6 +36,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RatMatrix,
+    _ZERO,
     _congruence_reduce,
     _derivatives,
     rank_factorization,
@@ -39,7 +45,6 @@ from .algebra import (
 
 __all__ = [
     "TwoVarPolyMatrix",
-    "CoeffMatrix",
     "DimensionMismatchError",
     "NotDivisibleError",
     "bdf_apply",
@@ -65,29 +70,54 @@ class NotDivisibleError(ValueError):
 
 
 class TwoVarPolyMatrix:
-    """Immutable sparse two-variable polynomial matrix.
+    """Immutable two-variable polynomial matrix, stored as its coefficient
+    matrix.
 
-    Stored as a map from exponent pairs (k, l) to nonzero rational
-    coefficient blocks of fixed shape p x q.
+    `window` is the largest exponent present in either variable (0 for the
+    zero matrix) and `mat` the (window + 1)p x (window + 1)q rational matrix
+    whose (k, l) block is the coefficient of zeta^k eta^l.  Every value is
+    kept at its own window, so two equal matrices have equal `mat`.
     """
 
-    __slots__ = ("p", "q", "blocks")
+    __slots__ = ("p", "q", "window", "mat")
 
     def __init__(self, p: int, q: int, blocks: Mapping[tuple[int, int], RatMatrix]):
         if p < 0 or q < 0:
             raise ValueError("block dimensions must be nonnegative")
-        clean: dict[tuple[int, int], RatMatrix] = {}
-        for (k, l), mat in blocks.items():
+        window = 0
+        for (k, l), block in blocks.items():
             if k < 0 or l < 0:
                 raise ValueError("exponents must be nonnegative")
-            if mat.shape != (p, q):
+            if block.shape != (p, q):
                 raise DimensionMismatchError(
-                    f"block ({k},{l}) has shape {mat.shape}, expected {(p, q)}")
-            if not mat.is_zero():
-                clean[(k, l)] = mat
+                    f"block ({k},{l}) has shape {block.shape}, expected {(p, q)}")
+            if not block.is_zero():
+                window = max(window, k, l)
+        grid = _grid((), p, q, window)
+        for (k, l), block in blocks.items():
+            if max(k, l) <= window:
+                for i, row in enumerate(block.entries):
+                    grid[k * p + i][l * q:(l + 1) * q] = row
+        self._assign(p, q, window, RatMatrix(len(grid), (window + 1) * q, grid))
+
+    def _assign(self, p: int, q: int, window: int, mat: RatMatrix) -> None:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "blocks", clean)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "mat", mat)
+
+    @classmethod
+    def _of(cls, p: int, q: int, window: int, grid) -> "TwoVarPolyMatrix":
+        """The matrix whose coefficient matrix is `grid`, laid out for
+        `window`, cut to its own window."""
+        # the last block row or column is nonzero unless terms cancelled
+        while window and not _nonzero_at(grid, p, q, window):
+            window -= 1
+        width = (window + 1) * q
+        rows = [row[:width] for row in grid[:(window + 1) * p]]
+        out = object.__new__(cls)
+        out._assign(p, q, window, RatMatrix(len(rows), width, rows))
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("TwoVarPolyMatrix is immutable")
@@ -105,56 +135,48 @@ class TwoVarPolyMatrix:
     @classmethod
     def outer(cls, x: PolyMatrix, y: PolyMatrix) -> "TwoVarPolyMatrix":
         """Build X(zeta)^T Y(eta) from one-variable matrices with a common
-        inner (row) dimension."""
+        inner (row) dimension: its coefficient matrix is the product of
+        their stacked coefficients, each taken to its own span."""
         if x.rows != y.rows:
             raise DimensionMismatchError("outer factors need equal row counts")
-        dx = int(x.degree) if not x.is_zero() else -1
-        dy = int(y.degree) if not y.is_zero() else -1
-        blocks = {}
-        for k in range(dx + 1):
-            xk = x.coeff(k).transpose()
-            for l in range(dy + 1):
-                blocks[(k, l)] = xk * y.coeff(l)
-        return cls(x.cols, y.cols, blocks)
+        product = x.coeff_rows(x.span).transpose() * y.coeff_rows(y.span)
+        window = max(x.span, y.span)
+        return cls._of(x.cols, y.cols, window,
+                       _grid(product.entries, x.cols, y.cols, window))
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def window(self) -> int:
-        """Largest exponent present in either variable (0 for the zero matrix)."""
-        if not self.blocks:
-            return 0
-        return max(max(k, l) for (k, l) in self.blocks)
-
     def block(self, k: int, l: int) -> RatMatrix:
-        return self.blocks.get((k, l), RatMatrix.zero(self.p, self.q))
+        if max(k, l) > self.window:
+            return RatMatrix.zero(self.p, self.q)
+        return self.mat.submatrix(range(k * self.p, (k + 1) * self.p),
+                                  range(l * self.q, (l + 1) * self.q))
+
+    @property
+    def blocks(self) -> dict[tuple[int, int], RatMatrix]:
+        """The nonzero coefficient blocks, keyed by exponent pair (k, l)."""
+        span = range(self.window + 1)
+        every = (((k, l), self.block(k, l)) for k in span for l in span)
+        return {kl: block for kl, block in every if not block.is_zero()}
 
     def is_zero(self) -> bool:
-        return not self.blocks
+        return self.mat.is_zero()
 
     def swap_transpose(self) -> "TwoVarPolyMatrix":
-        """Phi(zeta, eta) -> Phi(eta, zeta)^T."""
-        return TwoVarPolyMatrix(
-            self.q, self.p,
-            {(l, k): mat.transpose() for (k, l), mat in self.blocks.items()})
+        """Phi(zeta, eta) -> Phi(eta, zeta)^T, the transposed coefficient
+        matrix."""
+        return TwoVarPolyMatrix._of(self.q, self.p, self.window,
+                                    self.mat.transpose().entries)
 
     def is_symmetric(self) -> bool:
-        return self.p == self.q and self.swap_transpose() == self
+        return self.p == self.q and self.mat.is_symmetric()
 
     def is_skew(self) -> bool:
-        return self.p == self.q and self.swap_transpose() == -self
+        return self.p == self.q and self.mat.is_skew()
 
-    def at_zeta_minus_eta(self) -> PolyMatrix:
-        """Substitute zeta = -eta, returning a one-variable matrix in eta."""
-        acc: dict[int, RatMatrix] = {}
-        for (k, l), mat in self.blocks.items():
-            power = k + l
-            signed = mat if k % 2 == 0 else -mat
-            acc[power] = acc.get(power, RatMatrix.zero(self.p, self.q)) + signed
-        top = max(acc, default=-1)
-        return PolyMatrix(self.p, self.q, [
-            [Poly([acc[d].entries[i][j] if d in acc else 0 for d in range(top + 1)])
-             for j in range(self.q)] for i in range(self.p)])
+    def to_coeff(self) -> "TwoVarPolyMatrix":
+        """This matrix, whose `mat` is its coefficient matrix."""
+        return self
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -163,9 +185,11 @@ class TwoVarPolyMatrix:
             return NotImplemented
         if (self.p, self.q) != (other.p, other.q):
             raise DimensionMismatchError("shape mismatch")
-        keys = set(self.blocks) | set(other.blocks)
-        return TwoVarPolyMatrix(
-            self.p, self.q, {kl: self.block(*kl) + other.block(*kl) for kl in keys})
+        # an entry's place in the grid does not depend on the window
+        window = max(self.window, other.window)
+        grid = _grid(self.mat.entries, self.p, self.q, window)
+        _add_into(grid, other.mat.entries, 0, 0)
+        return TwoVarPolyMatrix._of(self.p, self.q, window, grid)
 
     def __sub__(self, other):
         if not isinstance(other, TwoVarPolyMatrix):
@@ -173,57 +197,50 @@ class TwoVarPolyMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return TwoVarPolyMatrix(self.p, self.q,
-                                {kl: -mat for kl, mat in self.blocks.items()})
-
-    # -- coefficient matrix round trip ---------------------------------------
-
-    def to_coeff(self, window: int | None = None) -> "CoeffMatrix":
-        m = self.window if window is None else window
-        if any(max(k, l) > m for (k, l) in self.blocks):
-            raise ValueError("window too small for the exponents present")
-        grid = [[Fraction(0)] * ((m + 1) * self.q) for _ in range((m + 1) * self.p)]
-        for (k, l), mat in self.blocks.items():
-            for i in range(self.p):
-                for j in range(self.q):
-                    grid[k * self.p + i][l * self.q + j] = mat.entries[i][j]
-        return CoeffMatrix(self.p, self.q, m,
-                           RatMatrix((m + 1) * self.p, (m + 1) * self.q, grid))
+        return TwoVarPolyMatrix._of(self.p, self.q, self.window,
+                                    (-self.mat).entries)
 
     # -- protocol -------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, TwoVarPolyMatrix):
             return NotImplemented
-        return (self.p, self.q) == (other.p, other.q) and self.blocks == other.blocks
+        return (self.p, self.q, self.mat) == (other.p, other.q, other.mat)
 
     def __str__(self):
-        if not self.blocks:
+        blocks = self.blocks
+        if not blocks:
             return f"0 ({self.p}x{self.q})"
-        parts = [f"zeta^{k}*eta^{l}: {mat}" for (k, l), mat in sorted(self.blocks.items())]
+        parts = [f"zeta^{k}*eta^{l}: {mat}" for (k, l), mat in sorted(blocks.items())]
         return "{ " + "; ".join(parts) + " }"
 
     def __repr__(self):
         return f"TwoVarPolyMatrix({self})"
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """Block coefficient matrix of a two-variable polynomial matrix: the
-    (k, l) block of `mat` is the coefficient of zeta^k eta^l."""
+def _grid(rows, p: int, q: int, window: int) -> list[list[Fraction]]:
+    """`rows` as a mutable (window + 1)p x (window + 1)q grid, padded with
+    zeros on the right and at the bottom."""
+    width = (window + 1) * q
+    grid = [list(row) + [_ZERO] * (width - len(row)) for row in rows]
+    return grid + [[_ZERO] * width for _ in range((window + 1) * p - len(grid))]
 
-    p: int
-    q: int
-    window: int
-    mat: RatMatrix
 
-    def to_two_var(self) -> TwoVarPolyMatrix:
-        # the constructor drops the zero blocks
-        span = range(self.window + 1)
-        return TwoVarPolyMatrix(self.p, self.q, {
-            (k, l): self.mat.submatrix(range(k * self.p, (k + 1) * self.p),
-                                       range(l * self.q, (l + 1) * self.q))
-            for k in span for l in span})
+def _nonzero_at(grid, p: int, q: int, k: int) -> bool:
+    """Whether block row k or block column k of a coefficient grid has a
+    nonzero entry."""
+    return (any(any(row) for row in grid[k * p:(k + 1) * p])
+            or any(any(row[k * q:(k + 1) * q]) for row in grid[:k * p]))
+
+
+def _add_into(grid, entries, row_shift: int, col_shift: int) -> None:
+    """Add the nonzero entries of `entries` into `grid`, moved down by
+    `row_shift` rows and right by `col_shift` columns."""
+    for r, row in enumerate(entries):
+        target = grid[r + row_shift]
+        for c, v in enumerate(row):
+            if v:
+                target[c + col_shift] += v
 
 
 def bdf_apply(phi: TwoVarPolyMatrix, v: Sequence[Poly], w: Sequence[Poly]) -> Poly:
@@ -232,79 +249,63 @@ def bdf_apply(phi: TwoVarPolyMatrix, v: Sequence[Poly], w: Sequence[Poly]) -> Po
     if len(v) != phi.p or len(w) != phi.q:
         raise DimensionMismatchError(
             f"expected vectors of length {phi.p} and {phi.q}, got {len(v)} and {len(w)}")
-    if not phi.blocks:
-        return Poly.zero()
-    kmax = max(k for (k, _) in phi.blocks)
-    lmax = max(l for (_, l) in phi.blocks)
-    dv = _derivatives(v, kmax)
-    dw = _derivatives(w, lmax)
+    dv = _derivatives(v, phi.window)
+    dw = _derivatives(w, phi.window)
     total = Poly.zero()
-    for (k, l), mat in phi.blocks.items():
-        for i in range(phi.p):
-            for j in range(phi.q):
-                c = mat.entries[i][j]
-                if c != 0:
-                    total = total + c * (dv[i][k] * dw[j][l])
+    for r, row in enumerate(phi.mat.entries):
+        k, i = divmod(r, phi.p)
+        for c, coeff in enumerate(row):
+            if coeff:
+                l, j = divmod(c, phi.q)
+                total = total + coeff * (dv[i][k] * dw[j][l])
     return total
 
 
 def mul_zeta_plus_eta(phi: TwoVarPolyMatrix) -> TwoVarPolyMatrix:
-    """(zeta + eta) * Phi."""
-    blocks: dict[tuple[int, int], RatMatrix] = {}
-
-    def bump(key, mat):
-        blocks[key] = blocks.get(key, RatMatrix.zero(phi.p, phi.q)) + mat
-
-    for (k, l), mat in phi.blocks.items():
-        bump((k + 1, l), mat)
-        bump((k, l + 1), mat)
-    return TwoVarPolyMatrix(phi.p, phi.q, blocks)
+    """(zeta + eta) * Phi: the coefficient matrix shifted down one block
+    plus the one shifted right one block."""
+    window = phi.window + 1
+    grid = _grid((), phi.p, phi.q, window)
+    _add_into(grid, phi.mat.entries, phi.p, 0)
+    _add_into(grid, phi.mat.entries, 0, phi.q)
+    return TwoVarPolyMatrix._of(phi.p, phi.q, window, grid)
 
 
 def div_zeta_plus_eta(phi: TwoVarPolyMatrix) -> TwoVarPolyMatrix:
     """Exact quotient Phi / (zeta + eta).
 
     Divisibility holds exactly when Phi vanishes on the line zeta = -eta;
-    otherwise :class:`NotDivisibleError` carries the offending restriction.
-    The quotient is computed by synthetic division in zeta at the root
-    zeta = -eta.
+    otherwise :class:`NotDivisibleError` carries the offending restriction
+    Phi(-eta, eta).  The quotient is computed by synthetic division in zeta
+    at the root zeta = -eta.
     """
-    residue = phi.at_zeta_minus_eta()
-    if not residue.is_zero():
+    p, q, window = phi.p, phi.q, phi.window
+    entries = phi.mat.entries
+    # Phi(-eta, eta): the (k, l) block adds (-1)^k Phi_kl to eta^(k + l)
+    residue = [[[_ZERO] * (2 * window + 1) for _ in range(q)] for _ in range(p)]
+    for r, row in enumerate(entries):
+        k, i = divmod(r, p)
+        for c, v in enumerate(row):
+            if v:
+                l, j = divmod(c, q)
+                residue[i][j][k + l] += -v if k % 2 else v
+    if any(any(cs) for row in residue for cs in row):
         raise NotDivisibleError(
-            "matrix does not vanish at zeta = -eta", witness=residue)
+            "matrix does not vanish at zeta = -eta",
+            witness=PolyMatrix(p, q, [[Poly(cs) for cs in row] for row in residue]))
     if phi.is_zero():
-        return TwoVarPolyMatrix.zero(phi.p, phi.q)
-    kmax = max(k for (k, _) in phi.blocks)
-    # slice into matrix polynomials in eta: a[k][l] = Phi_{k,l}
-    a: list[dict[int, RatMatrix]] = [dict() for _ in range(kmax + 1)]
-    for (k, l), mat in phi.blocks.items():
-        a[k][l] = mat
-    # synthetic division by (zeta - (-eta)): b_{k-1} = a_k - eta * b_k
-    b: list[dict[int, RatMatrix]] = [dict() for _ in range(kmax)]
-    carry: dict[int, RatMatrix] = {}
-    for k in range(kmax, 0, -1):
-        cur: dict[int, RatMatrix] = dict(a[k])
-        for l, mat in carry.items():
-            key = l + 1  # multiply the previous quotient slice by eta
-            cur[key] = cur.get(key, RatMatrix.zero(phi.p, phi.q)) - mat
-        # note: b_{k-1} = a_k - eta*b_k, and carry holds b_k
-        b[k - 1] = cur
-        carry = cur
-    # remainder a_0 - eta*b_0 must vanish; guaranteed by the line check
-    return TwoVarPolyMatrix(phi.p, phi.q, {(k, l): mat for k, slice_ in enumerate(b)
-                                           for l, mat in slice_.items()})
-
-
-def _poly_matrix_from_coeff_rows(block: RatMatrix, cols_per_power: int) -> PolyMatrix:
-    """Reassemble X(zeta) from its row-stacked coefficient matrix
-    [X_0 X_1 ... X_M] with blocks of width `cols_per_power`."""
-    k = block.rows
-    if cols_per_power == 0:
-        return PolyMatrix.zero(k, 0)
-    return PolyMatrix(k, cols_per_power, [
-        [Poly(row[j::cols_per_power]) for j in range(cols_per_power)]
-        for row in block.entries])
+        return TwoVarPolyMatrix.zero(p, q)
+    # Q_{k,l} = Phi_{k+1,l} - Q_{k+1,l-1} from the top power of zeta down;
+    # the remainder Phi_{0,.} - eta Q_{0,.} vanishes by the line check, and
+    # so does everything of Phi past the quotient's window
+    width = window * q
+    quotient = [list(row[:width]) for row in entries[p:]]
+    for r in range(len(quotient) - p - 1, -1, -1):
+        target, above = quotient[r], quotient[r + p]
+        for c in range(width - q):
+            if above[c]:
+                target[c + q] -= above[c]
+    return TwoVarPolyMatrix._of(p, q, window - 1, quotient)
 
 
 def factor_general(phi: TwoVarPolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
@@ -313,10 +314,9 @@ def factor_general(phi: TwoVarPolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     The inner dimension equals the rank of the coefficient matrix, which is
     the minimum possible.
     """
-    coeff = phi.to_coeff()
-    x_block, y_block = rank_factorization(coeff.mat)
-    x = _poly_matrix_from_coeff_rows(x_block, phi.p)
-    y = _poly_matrix_from_coeff_rows(y_block, phi.q)
+    x_rows, y_rows = rank_factorization(phi.mat)
+    x = PolyMatrix.from_coeff_rows(x_rows, phi.p)
+    y = PolyMatrix.from_coeff_rows(y_rows, phi.q)
     _check_reconstruction(phi, x, None, y)
     return x, y
 
@@ -333,12 +333,10 @@ def factor_symmetric(phi: TwoVarPolyMatrix) -> tuple[PolyMatrix, RatMatrix]:
         raise NotSymmetricError("symmetric factorization needs square blocks")
     if not phi.is_symmetric():
         raise NotSymmetricError("two-variable matrix is not symmetric")
-    coeff = phi.to_coeff()
-    inertia, t, reduced = _congruence_reduce(coeff.mat)
+    inertia, t, reduced = _congruence_reduce(phi.mat)
     n = inertia.positive + inertia.negative
     sigma = reduced.submatrix(range(n), range(n))
-    r = t.inverse()
-    z = _poly_matrix_from_coeff_rows(r.take_rows(range(n)), phi.p)
+    z = _congruence_factor(t, n, phi.p)
     _check_reconstruction(phi, z, sigma, z)
     return z, sigma
 
@@ -350,12 +348,16 @@ def factor_skew(phi: TwoVarPolyMatrix) -> tuple[PolyMatrix, int]:
         raise NotSkewError("skew factorization needs square blocks")
     if not phi.is_skew():
         raise NotSkewError("two-variable matrix is not skew")
-    coeff = phi.to_coeff()
-    p_half, t = skew_canonical_congruence(coeff.mat)
-    r = t.inverse()
-    w = _poly_matrix_from_coeff_rows(r.take_rows(range(2 * p_half)), phi.p)
+    p_half, t = skew_canonical_congruence(phi.mat)
+    w = _congruence_factor(t, 2 * p_half, phi.p)
     _check_reconstruction(phi, w, _j_matrix(p_half), w)
     return w, p_half
+
+
+def _congruence_factor(t: RatMatrix, n: int, cols: int) -> PolyMatrix:
+    """The factor read off a congruence t^T Phi~ t = middle (+) 0: as
+    Phi~ = t^-T (middle (+) 0) t^-1, it is the first n rows of t^-1."""
+    return PolyMatrix.from_coeff_rows(t.inverse().take_rows(range(n)), cols)
 
 
 def _j_matrix(p: int) -> RatMatrix:

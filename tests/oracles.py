@@ -19,21 +19,38 @@ candidate until one passes.
 minors, and `skew_congruence_by_bilinears` is the symplectic Gram-Schmidt
 that `skew_canonical_congruence` ran before it kept the Gram matrix of the
 remaining vectors: it pairs them through S afresh for every pivot.
+
+`BlockTwoVar`, `mul_zeta_plus_eta_by_blocks` and
+`div_zeta_plus_eta_by_blocks` are the two-variable arithmetic as it was
+before `TwoVarPolyMatrix` stored its coefficient matrix: a dict of nonzero
+p x q blocks keyed by exponent pair, with `outer`, `+`, `swap_transpose`,
+the restriction `at_zeta_minus_eta` and the division each written block by
+block.
+
+`derivative_rule_check` and `concatenation_compatible` were public
+functions of the package with no caller outside the tests.
 """
 
 import itertools
+import time
 from fractions import Fraction
 from itertools import combinations
 
 from boundary_forge import (
     AllZeroError,
     BoundaryStructure,
+    DimensionMismatchError,
     InconsistentSystemError,
     LagrangeBoundary,
+    NotDivisibleError,
     Poly,
     PolyMatrix,
     RatMatrix,
+    TwoVarPolyMatrix,
     UnderdeterminedSystemError,
+    VerificationReport,
+    bdf_apply,
+    mul_zeta_plus_eta,
     solve_linear,
 )
 from boundary_forge.realize import (
@@ -201,3 +218,156 @@ def skew_congruence_by_bilinears(s: RatMatrix) -> tuple[int, RatMatrix]:
         vs.append(v)
     cols = us + vs + remaining
     return len(us), RatMatrix(n, n, [[col[i] for col in cols] for i in range(n)])
+
+
+class BlockTwoVar:
+    """Two-variable polynomial matrix as a map from exponent pairs (k, l)
+    to nonzero rational coefficient blocks of fixed shape p x q."""
+
+    def __init__(self, p, q, blocks):
+        if p < 0 or q < 0:
+            raise ValueError("block dimensions must be nonnegative")
+        clean = {}
+        for (k, l), mat in blocks.items():
+            if k < 0 or l < 0:
+                raise ValueError("exponents must be nonnegative")
+            if mat.shape != (p, q):
+                raise DimensionMismatchError(
+                    f"block ({k},{l}) has shape {mat.shape}, expected {(p, q)}")
+            if not mat.is_zero():
+                clean[(k, l)] = mat
+        self.p = p
+        self.q = q
+        self.blocks = clean
+
+    @classmethod
+    def zero(cls, p, q):
+        return cls(p, q, {})
+
+    @classmethod
+    def outer(cls, x: PolyMatrix, y: PolyMatrix) -> "BlockTwoVar":
+        """Build X(zeta)^T Y(eta) from one-variable matrices with a common
+        inner (row) dimension."""
+        if x.rows != y.rows:
+            raise DimensionMismatchError("outer factors need equal row counts")
+        dx = int(x.degree) if not x.is_zero() else -1
+        dy = int(y.degree) if not y.is_zero() else -1
+        blocks = {}
+        for k in range(dx + 1):
+            xk = x.coeff(k).transpose()
+            for l in range(dy + 1):
+                blocks[(k, l)] = xk * y.coeff(l)
+        return cls(x.cols, y.cols, blocks)
+
+    def block(self, k, l):
+        return self.blocks.get((k, l), RatMatrix.zero(self.p, self.q))
+
+    def is_zero(self):
+        return not self.blocks
+
+    def swap_transpose(self) -> "BlockTwoVar":
+        """Phi(zeta, eta) -> Phi(eta, zeta)^T."""
+        return BlockTwoVar(
+            self.q, self.p,
+            {(l, k): mat.transpose() for (k, l), mat in self.blocks.items()})
+
+    def at_zeta_minus_eta(self) -> PolyMatrix:
+        """Substitute zeta = -eta, returning a one-variable matrix in eta."""
+        acc = {}
+        for (k, l), mat in self.blocks.items():
+            power = k + l
+            signed = mat if k % 2 == 0 else -mat
+            acc[power] = acc.get(power, RatMatrix.zero(self.p, self.q)) + signed
+        top = max(acc, default=-1)
+        return PolyMatrix(self.p, self.q, [
+            [Poly([acc[d].entries[i][j] if d in acc else 0 for d in range(top + 1)])
+             for j in range(self.q)] for i in range(self.p)])
+
+    def __add__(self, other):
+        if not isinstance(other, BlockTwoVar):
+            return NotImplemented
+        if (self.p, self.q) != (other.p, other.q):
+            raise DimensionMismatchError("shape mismatch")
+        keys = set(self.blocks) | set(other.blocks)
+        return BlockTwoVar(
+            self.p, self.q, {kl: self.block(*kl) + other.block(*kl) for kl in keys})
+
+    def __sub__(self, other):
+        if not isinstance(other, BlockTwoVar):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return BlockTwoVar(self.p, self.q,
+                           {kl: -mat for kl, mat in self.blocks.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, BlockTwoVar):
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q) and self.blocks == other.blocks
+
+
+def mul_zeta_plus_eta_by_blocks(phi: BlockTwoVar) -> BlockTwoVar:
+    """(zeta + eta) * Phi."""
+    blocks = {}
+
+    def bump(key, mat):
+        blocks[key] = blocks.get(key, RatMatrix.zero(phi.p, phi.q)) + mat
+
+    for (k, l), mat in phi.blocks.items():
+        bump((k + 1, l), mat)
+        bump((k, l + 1), mat)
+    return BlockTwoVar(phi.p, phi.q, blocks)
+
+
+def div_zeta_plus_eta_by_blocks(phi: BlockTwoVar) -> BlockTwoVar:
+    """Exact quotient Phi / (zeta + eta) by synthetic division in zeta at
+    the root zeta = -eta, after checking that Phi vanishes there."""
+    residue = phi.at_zeta_minus_eta()
+    if not residue.is_zero():
+        raise NotDivisibleError(
+            "matrix does not vanish at zeta = -eta", witness=residue)
+    if phi.is_zero():
+        return BlockTwoVar.zero(phi.p, phi.q)
+    kmax = max(k for (k, _) in phi.blocks)
+    # slice into matrix polynomials in eta: a[k][l] = Phi_{k,l}
+    a = [dict() for _ in range(kmax + 1)]
+    for (k, l), mat in phi.blocks.items():
+        a[k][l] = mat
+    # synthetic division by (zeta - (-eta)): b_{k-1} = a_k - eta * b_k
+    b = [dict() for _ in range(kmax)]
+    carry = {}
+    for k in range(kmax, 0, -1):
+        cur = dict(a[k])
+        for l, mat in carry.items():
+            key = l + 1  # multiply the previous quotient slice by eta
+            cur[key] = cur.get(key, RatMatrix.zero(phi.p, phi.q)) - mat
+        # note: b_{k-1} = a_k - eta*b_k, and carry holds b_k
+        b[k - 1] = cur
+        carry = cur
+    # remainder a_0 - eta*b_0 must vanish; guaranteed by the line check
+    return BlockTwoVar(phi.p, phi.q, {(k, l): mat for k, slice_ in enumerate(b)
+                                      for l, mat in slice_.items()})
+
+
+def derivative_rule_check(phi: TwoVarPolyMatrix, v, w) -> VerificationReport:
+    """Exact product-rule identity: differentiating the bilinear form of phi
+    along trajectories equals the bilinear form of (zeta + eta) phi."""
+    start = time.perf_counter()
+    lhs = bdf_apply(phi, v, w).deriv()
+    rhs = bdf_apply(mul_zeta_plus_eta(phi), v, w)
+    diff = lhs - rhs
+    residual = max((abs(c) for c in diff.coeffs), default=Fraction(0))
+    return VerificationReport("derivative_rule", f"form {phi.p}x{phi.q}", 1,
+                              (residual,), time.perf_counter() - start)
+
+
+def concatenation_compatible(structure: BoundaryStructure,
+                             latent_left, latent_right, junction) -> bool:
+    """Whether two trajectories meeting at the junction point present equal
+    boundary values there, which is exactly the condition for their
+    concatenation to satisfy the same boundary pairing."""
+    junction = Fraction(junction)
+    b_left = [p(junction) for p in structure.boundary(latent_left)]
+    b_right = [p(junction) for p in structure.boundary(latent_right)]
+    return b_left == b_right

@@ -16,7 +16,6 @@ from boundary_forge import (
     UnbalancedSignatureError,
     boundary_structure,
     canonical_power_split,
-    concatenation_compatible,
     dirac_condition_reports,
     image_representation,
     inertia_congruence,
@@ -35,6 +34,7 @@ from instances import (
     pm,
     random_unimodular,
 )
+from oracles import concatenation_compatible
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "problems")

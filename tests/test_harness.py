@@ -18,7 +18,6 @@ from boundary_forge import (
     check_power_balance,
     constrained_boundary,
     constrained_suite,
-    derivative_rule_check,
     dirac_suite,
     integrate_pairing,
     lagrange_boundary,
@@ -29,6 +28,7 @@ from boundary_forge import (
 )
 
 from instances import pm
+from oracles import derivative_rule_check
 
 s = Poly.variable()
 z = Poly.variable()

@@ -211,4 +211,5 @@ def test_coeff_roundtrip():
     rng = random.Random(21)
     for _ in range(10):
         phi = random_two_var(rng, 2, 2, 2)
-        assert phi.to_coeff().to_two_var() == phi
+        assert TwoVarPolyMatrix(phi.p, phi.q, phi.blocks) == phi
+        assert phi.to_coeff().mat == phi.mat
