@@ -95,11 +95,8 @@ from .harness import (
     DEFAULT_TRIALS,
     Trajectory,
     VerificationReport,
-    check_dirac_form,
-    check_power_balance,
     constrained_suite,
     dirac_suite,
-    integrate_pairing,
     lagrange_suite,
     random_latent,
 )

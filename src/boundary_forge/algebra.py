@@ -195,14 +195,8 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly(())
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        out = []
+        _add_product(out, self.coeffs, other.coeffs)
         return Poly(out)
 
     __rmul__ = __mul__
@@ -327,9 +321,29 @@ def _as_poly(value) -> Poly:
     raise TypeError(f"cannot coerce {value!r} to a polynomial entry")
 
 
+def _add_product(acc: list, xs, ys) -> None:
+    """Add the product of the coefficient sequences `xs` and `ys` (low
+    degree first) into the coefficient list `acc`, lengthening it as needed
+    and skipping the zero coefficients of `xs`."""
+    if not xs or not ys:
+        return
+    if len(acc) < len(xs) + len(ys) - 1:
+        acc.extend([_ZERO] * (len(xs) + len(ys) - 1 - len(acc)))
+    for i, a in enumerate(xs):
+        if a:
+            for j, b in enumerate(ys):
+                acc[i + j] += a * b
+
+
 def _dot(u, v) -> Poly:
-    """Sum of the entrywise products of two sequences, as a polynomial."""
-    return sum((x * y for x, y in zip(u, v)), Poly.zero())
+    """Sum of the entrywise products of two sequences, as one polynomial
+    built from one coefficient list; pairs with a zero entry add nothing."""
+    acc = []
+    for x, y in zip(u, v):
+        xs = _as_poly(x).coeffs
+        if xs:
+            _add_product(acc, xs, _as_poly(y).coeffs)
+    return Poly(acc)
 
 
 def _derivatives(vec, depth: int) -> list[list[Poly]]:
@@ -477,11 +491,20 @@ class _Matrix:
         if isinstance(other, cls):
             if self.cols != other.rows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            bt = other.transpose().entries
+            # row i of the product sums a * (row k of other) over the
+            # nonzero entries a = self[i][k]; only nonzero b are visited
+            nonzero = [[(j, b) for j, b in enumerate(row) if b]
+                       for row in other.entries]
             zero = cls._coerce(0)
-            return cls(self.rows, other.cols,
-                       [[sum((a * b for a, b in zip(row, col)), zero) for col in bt]
-                        for row in self.entries])
+            out = []
+            for row in self.entries:
+                acc = [zero] * other.cols
+                for a, pairs in zip(row, nonzero):
+                    if a:
+                        for j, b in pairs:
+                            acc[j] += a * b
+                out.append(acc)
+            return cls(self.rows, other.cols, out)
         if isinstance(other, cls._scalars):
             c = cls._coerce(other)
             return cls(self.rows, self.cols, [[v * c for v in row] for row in self.entries])
@@ -656,18 +679,22 @@ class PolyMatrix(_Matrix):
     def apply(self, vec: Sequence[Poly]) -> tuple[Poly, ...]:
         """Apply this matrix as the differential operator ``P(d/dz)`` to a
         vector of polynomial functions of ``z``.
+
+        Each output entry sums ``c * d`` over the nonzero coefficients ``c``
+        of its row and the matching derivatives ``d`` in one coefficient
+        list, and becomes one polynomial.
         """
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         derivs = _derivatives(vec, self.span)
         out = []
         for row in self.entries:
-            acc = Poly.zero()
-            for j, e in enumerate(row):
-                for k, c in enumerate(e.coeffs):
-                    if c != 0:
-                        acc = acc + c * derivs[j][k]
-            out.append(acc)
+            acc = []
+            for e, ds in zip(row, derivs):
+                for c, d in zip(e.coeffs, ds):
+                    if c:
+                        _add_product(acc, (c,), d.coeffs)
+            out.append(Poly(acc))
         return tuple(out)
 
     # -- determinants --------------------------------------------------------

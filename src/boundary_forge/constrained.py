@@ -29,7 +29,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, PolyMatrix, RatMatrix, _balance_residual, polynomial_kernel_basis
+from .algebra import (Poly, PolyMatrix, RatMatrix, _balance_residual, _dot,
+                      polynomial_kernel_basis)
 from .dirac import BoundaryStructure, _skew_adjoint_boundary, validate_skew_adjoint
 from .twovar import TwoVarPolyMatrix, div_zeta_plus_eta, factor_general
 
@@ -172,9 +173,8 @@ def _constrained_sample(structure: ConstrainedStructure, basis, degree: int,
         kernel_empty = False
         while True:
             weights = [_random_fraction(rng) for _ in basis]
-            effort = tuple(
-                sum((w * vec[j] for w, vec in zip(weights, basis)), Poly.zero())
-                for j in range(m))
+            effort = tuple(_dot([vec[j] for vec in basis], weights)
+                           for j in range(m))
             if any(not c.is_zero for c in effort):
                 break
     multiplier = tuple(_random_poly(rng, degree)

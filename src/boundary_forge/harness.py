@@ -54,9 +54,6 @@ __all__ = [
     "Trajectory",
     "VerificationReport",
     "random_latent",
-    "integrate_pairing",
-    "check_dirac_form",
-    "check_power_balance",
     "dirac_suite",
     "constrained_suite",
     "lagrange_suite",
@@ -141,12 +138,6 @@ def random_latent(seed, dim: int, degree: int) -> Trajectory:
     return Trajectory(l, alpha, beta)
 
 
-def integrate_pairing(f1, e1, f2, e2, alpha, beta) -> Fraction:
-    """Exact integral of the symmetric pairing e1^T f2 + e2^T f1."""
-    integrand = _dot(e1, f2) + _dot(e2, f1)
-    return integrand.integral(Fraction(alpha), Fraction(beta))
-
-
 # per-trial residuals ---------------------------------------------------------
 
 
@@ -198,34 +189,6 @@ def _optional_split(structure: BoundaryStructure,
         return _power_split(structure.Sigma, structure.inertia, split_tolerance)
     except UnbalancedSignatureError:
         return None
-
-
-def check_dirac_form(structure: BoundaryStructure, l1, l2, alpha, beta
-                     ) -> VerificationReport:
-    """Residual of the full bilinear balance for one trajectory pair:
-    interior pairing integral minus the boundary bracket difference."""
-    (report,) = _single_check(
-        "dirac_form", structure.describe(), 1,
-        [(l1, l2, Fraction(alpha), Fraction(beta))],
-        partial(_dirac_latent, structure), structure.Sigma)
-    return report
-
-
-def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
-                        split_tolerance: float = DEFAULT_SPLIT_TOLERANCE
-                        ) -> VerificationReport:
-    """Residual of int e^T f = half the bracket difference of b^T Sigma b;
-    when the signature is balanced the float split deviation is reported
-    against the split tolerance as well."""
-    start = time.perf_counter()
-    split = _optional_split(structure, split_tolerance)
-    balance, deviation = _power_trial(structure, split,
-                                      _dirac_latent(structure, l),
-                                      Fraction(alpha), Fraction(beta))
-    return VerificationReport("power_balance", structure.describe(), 1,
-                              (balance,), time.perf_counter() - start,
-                              () if split is None else (deviation,),
-                              None if split is None else split_tolerance)
 
 
 # suites -----------------------------------------------------------------------

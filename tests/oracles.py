@@ -27,13 +27,20 @@ p x q blocks keyed by exponent pair, with `outer`, `+`, `swap_transpose`,
 the restriction `at_zeta_minus_eta` and the division each written block by
 block.
 
-`derivative_rule_check` and `concatenation_compatible` were public
-functions of the package with no caller outside the tests.
+`derivative_rule_check`, `concatenation_compatible`, `integrate_pairing`,
+`check_dirac_form` and `check_power_balance` were public functions of the
+package with no caller outside the tests.
+
+`dense_matmul`, `dense_apply` and `dense_dot` are `_Matrix.__mul__`,
+`PolyMatrix.apply` and `algebra._dot` as they were before they visited
+only nonzero entries: every product of every row-column sum, zeros
+included, and a new polynomial for every term of `apply` and `_dot`.
 """
 
 import itertools
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from boundary_forge import (
@@ -61,6 +68,14 @@ from boundary_forge.realize import (
     _SwapSet,
     realize,
     verify_realization_structure,
+)
+from boundary_forge.algebra import _derivatives, _dot
+from boundary_forge.dirac import DEFAULT_SPLIT_TOLERANCE
+from boundary_forge.harness import (
+    _dirac_latent,
+    _optional_split,
+    _power_trial,
+    _single_check,
 )
 from boundary_forge.twovar import _j_matrix
 
@@ -371,3 +386,76 @@ def concatenation_compatible(structure: BoundaryStructure,
     b_left = [p(junction) for p in structure.boundary(latent_left)]
     b_right = [p(junction) for p in structure.boundary(latent_right)]
     return b_left == b_right
+
+
+def integrate_pairing(f1, e1, f2, e2, alpha, beta) -> Fraction:
+    """Exact integral of the symmetric pairing e1^T f2 + e2^T f1."""
+    integrand = _dot(e1, f2) + _dot(e2, f1)
+    return integrand.integral(Fraction(alpha), Fraction(beta))
+
+
+def check_dirac_form(structure: BoundaryStructure, l1, l2, alpha, beta
+                     ) -> VerificationReport:
+    """Residual of the full bilinear balance for one trajectory pair:
+    interior pairing integral minus the boundary bracket difference."""
+    (report,) = _single_check(
+        "dirac_form", structure.describe(), 1,
+        [(l1, l2, Fraction(alpha), Fraction(beta))],
+        partial(_dirac_latent, structure), structure.Sigma)
+    return report
+
+
+def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
+                        split_tolerance: float = DEFAULT_SPLIT_TOLERANCE
+                        ) -> VerificationReport:
+    """Residual of int e^T f = half the bracket difference of b^T Sigma b;
+    when the signature is balanced the float split deviation is reported
+    against the split tolerance as well."""
+    start = time.perf_counter()
+    split = _optional_split(structure, split_tolerance)
+    balance, deviation = _power_trial(structure, split,
+                                      _dirac_latent(structure, l),
+                                      Fraction(alpha), Fraction(beta))
+    return VerificationReport("power_balance", structure.describe(), 1,
+                              (balance,), time.perf_counter() - start,
+                              () if split is None else (deviation,),
+                              None if split is None else split_tolerance)
+
+
+def dense_matmul(self, other):
+    cls = type(self)
+    if isinstance(other, cls):
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        bt = other.transpose().entries
+        zero = cls._coerce(0)
+        return cls(self.rows, other.cols,
+                   [[sum((a * b for a, b in zip(row, col)), zero) for col in bt]
+                    for row in self.entries])
+    if isinstance(other, cls._scalars):
+        c = cls._coerce(other)
+        return cls(self.rows, self.cols, [[v * c for v in row] for row in self.entries])
+    return NotImplemented
+
+
+def dense_apply(self, vec) -> tuple[Poly, ...]:
+    """Apply this matrix as the differential operator ``P(d/dz)`` to a
+    vector of polynomial functions of ``z``.
+    """
+    if len(vec) != self.cols:
+        raise ValueError("vector length does not match column count")
+    derivs = _derivatives(vec, self.span)
+    out = []
+    for row in self.entries:
+        acc = Poly.zero()
+        for j, e in enumerate(row):
+            for k, c in enumerate(e.coeffs):
+                if c != 0:
+                    acc = acc + c * derivs[j][k]
+        out.append(acc)
+    return tuple(out)
+
+
+def dense_dot(u, v) -> Poly:
+    """Sum of the entrywise products of two sequences, as a polynomial."""
+    return sum((x * y for x, y in zip(u, v)), Poly.zero())

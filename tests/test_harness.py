@@ -14,12 +14,9 @@ from boundary_forge import (
     SplitToleranceError,
     TwoVarPolyMatrix,
     VerificationReport,
-    check_dirac_form,
-    check_power_balance,
     constrained_boundary,
     constrained_suite,
     dirac_suite,
-    integrate_pairing,
     lagrange_boundary,
     lagrange_suite,
     random_latent,
@@ -28,7 +25,8 @@ from boundary_forge import (
 )
 
 from instances import pm
-from oracles import derivative_rule_check
+from oracles import (check_dirac_form, check_power_balance, derivative_rule_check,
+                     integrate_pairing)
 
 s = Poly.variable()
 z = Poly.variable()

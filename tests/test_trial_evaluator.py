@@ -23,12 +23,9 @@ from boundary_forge import (
     PolyMatrix,
     RatMatrix,
     boundary_structure,
-    check_dirac_form,
-    check_power_balance,
     constrained_boundary,
     constrained_suite,
     dirac_suite,
-    integrate_pairing,
     lagrange_boundary,
     skew_adjoint_structure,
     validate_dirac_pair,
@@ -52,6 +49,7 @@ from boundary_forge.harness import _latent_trials
 from boundary_forge.lagrange import LagrangeBoundary
 
 from instances import CONSTRAINED_INSTANCES, DIRAC_INSTANCES, LAGRANGE_INSTANCES
+from oracles import check_dirac_form, check_power_balance, integrate_pairing
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "problems")
