@@ -1,7 +1,9 @@
 """Exact scalar, polynomial, and matrix algebra over the rationals.
 
 Everything in this module is computed with arbitrary-precision rational
-arithmetic (`fractions.Fraction`); no floating point enters anywhere.  All
+arithmetic (`fractions.Fraction`, or Python integers over one common
+denominator in the balance-trial arithmetic); no floating point enters
+anywhere.  All
 types are immutable after construction and all operations are pure
 functions, so values can be shared freely.  `RatMatrix` and `PolyMatrix`
 share one matrix body and differ only in their entry type and their own
@@ -321,14 +323,14 @@ def _as_poly(value) -> Poly:
     raise TypeError(f"cannot coerce {value!r} to a polynomial entry")
 
 
-def _add_product(acc: list, xs, ys) -> None:
+def _add_product(acc: list, xs, ys, zero=_ZERO) -> None:
     """Add the product of the coefficient sequences `xs` and `ys` (low
-    degree first) into the coefficient list `acc`, lengthening it as needed
-    and skipping the zero coefficients of `xs`."""
+    degree first) into the coefficient list `acc`, lengthening it with
+    `zero` as needed and skipping the zero coefficients of `xs`."""
     if not xs or not ys:
         return
     if len(acc) < len(xs) + len(ys) - 1:
-        acc.extend([_ZERO] * (len(xs) + len(ys) - 1 - len(acc)))
+        acc.extend([zero] * (len(xs) + len(ys) - 1 - len(acc)))
     for i, a in enumerate(xs):
         if a:
             for j, b in enumerate(ys):
@@ -358,44 +360,194 @@ def _derivatives(vec, depth: int) -> list[list[Poly]]:
     return table
 
 
-def _bilinear(x, middle: "RatMatrix", y) -> Fraction:
-    """``x^T M y`` for rational vectors, multiplying only the nonzero
-    entries of the constant matrix ``M``."""
-    return sum((xi * c * y[j] for xi, row in zip(x, middle.entries)
-                for j, c in enumerate(row) if c), _ZERO)
+# integer trial arithmetic ----------------------------------------------------
+#
+# The randomized balance checks run on integers over one common denominator
+# (Knuth, TAOCP vol. 2, 4.6.1): each operator, the middle matrix and each
+# drawn trajectory is scaled once by the lcm of its denominators, every
+# apply, dot, integral and endpoint evaluation stays in `int`, and each
+# residual becomes one `Fraction`.
 
 
-def _balance_residual(first, second, middle: "RatMatrix", alpha, beta,
-                      sign: int = 1) -> Fraction:
-    """Exact residual of one balance law over ``[alpha, beta]``:
+def _common_denominator(values) -> int:
+    """Least common multiple of the denominators of the rationals `values`
+    (1 for none)."""
+    return math.lcm(*(v.denominator for v in values))
 
-        int (u1 . v2 + sign u2 . v1) dz - [w1^T M w2]_alpha^beta
 
-    for the ``(u, v, w)`` polynomial vector triples `first` and `second`
-    and the constant middle matrix ``M``.  The boundary vectors are
-    evaluated at the two endpoints before they meet ``M``: evaluation at a
-    point is a ring homomorphism, so this is exactly the endpoint
-    difference of the polynomial bracket ``w1^T M w2``.
+def _scaled(values, den: int) -> list[int]:
+    """The rationals `values` times their common multiple `den`."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _int_vector(vec) -> tuple[list[list[int]], int]:
+    """A vector of polynomials as integer coefficient lists (low degree
+    first) over one positive denominator."""
+    coeffs = [_as_poly(v).coeffs for v in vec]
+    den = _common_denominator(c for cs in coeffs for c in cs)
+    return [_scaled(cs, den) for cs in coeffs], den
+
+
+def _int_dot(u, v) -> list[int]:
+    """Sum of the entrywise products of two vectors of integer coefficient
+    lists, as one coefficient list."""
+    acc = []
+    for xs, ys in zip(u, v):
+        if xs and ys:
+            _add_product(acc, xs, ys, 0)
+    return acc
+
+
+def _horner(cs, num: int, den: int, scale: int = 1) -> int:
+    """``scale * den**(len(cs) - 1)`` times the value at ``num / den`` of the
+    polynomial with integer coefficients `cs`, by homogeneous Horner."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _int_integral(cs, alpha: Fraction, beta: Fraction) -> tuple[int, int]:
+    """``(num, den)``, ``den > 0``, with ``num / den`` the integral over
+    ``[alpha, beta]`` of the polynomial with integer coefficients `cs`.
+
+    The antiderivative times ``k = lcm(1, ..., len(cs))`` has the integer
+    coefficients ``c_i * k / (i + 1)`` of ``z**(i + 1)``.
     """
-    u1, v1, w1 = first
-    u2, v2, w2 = second
-    interior = _dot(u1, v2)
-    swapped = _dot(u2, v1)
-    interior = interior + swapped if sign > 0 else interior - swapped
-    return interior.integral(alpha, beta) - _bracket_difference(
-        w1, w2, middle, alpha, beta)
+    n = len(cs)
+    k = math.lcm(*range(1, n + 1))
+    anti = [c * (k // (i + 1)) for i, c in enumerate(cs)]
+    pa, qa = alpha.numerator, alpha.denominator
+    pb, qb = beta.numerator, beta.denominator
+    qa_n, qb_n = qa ** n, qb ** n
+    return (pb * _horner(anti, pb, qb) * qa_n - pa * _horner(anti, pa, qa) * qb_n,
+            k * qa_n * qb_n)
 
 
-def _bracket_difference(w1, w2, middle: "RatMatrix", alpha, beta) -> Fraction:
-    """``[w1^T M w2]_alpha^beta`` for polynomial vectors, evaluated at the
-    two endpoints before the vectors meet ``M``."""
+class _IntOperator:
+    """A polynomial matrix ``P`` as a differential operator on integer
+    coefficient lists.  Row ``i`` lists ``(j, k, c)`` for each nonzero
+    coefficient of ``s**k`` in entry ``(i, j)``, with ``c`` that coefficient
+    times the common denominator `den`."""
 
-    def bracket(point) -> Fraction:
-        x = [w(point) for w in w1]
-        y = x if w2 is w1 else [w(point) for w in w2]
-        return _bilinear(x, middle, y)
+    __slots__ = ("rows", "den", "span")
 
-    return bracket(beta) - bracket(alpha)
+    def __init__(self, p: "PolyMatrix"):
+        self.den = _common_denominator(c for row in p.entries for e in row
+                                       for c in e.coeffs)
+        self.rows = tuple(
+            tuple((j, k, c) for j, e in enumerate(row)
+                  for k, c in enumerate(_scaled(e.coeffs, self.den)) if c)
+            for row in p.entries)
+        self.span = p.span
+
+    def apply(self, derivs) -> list[list[int]]:
+        """``den * P(d/dz) x`` from the table ``derivs[j][k]`` of the
+        ``k``-th derivatives of an integer vector ``x``."""
+        out = []
+        for row in self.rows:
+            acc = []
+            for j, k, c in row:
+                d = derivs[j][k]
+                if len(acc) < len(d):
+                    acc.extend([0] * (len(d) - len(acc)))
+                for i, x in enumerate(d):
+                    acc[i] += c * x
+            out.append(acc)
+        return out
+
+
+class _Balance:
+    """One balance law in integer form:
+
+        int_alpha^beta (u1 . v2 + sign u2 . v1) dz - [w1^T M w2]_alpha^beta
+
+    with ``u = U(d/dz) x``, ``v = V(d/dz) x`` and ``w = W(d/dz) x`` for a
+    latent polynomial vector ``x``.  The three operators and the nonzero
+    entries of the constant middle matrix ``M`` are turned into integers
+    once, here.  The boundary vectors are evaluated at the two endpoints
+    before they meet ``M``: evaluation at a point is a ring homomorphism, so
+    this is exactly the endpoint difference of the polynomial bracket.
+    """
+
+    __slots__ = ("u", "v", "w", "cols", "depth", "middle", "middle_den",
+                 "sign")
+
+    def __init__(self, u: "PolyMatrix", v: "PolyMatrix", w: "PolyMatrix",
+                 middle: "RatMatrix", sign: int = 1):
+        self.u, self.v, self.w = _IntOperator(u), _IntOperator(v), _IntOperator(w)
+        self.cols = u.cols
+        self.depth = max(self.u.span, self.v.span, self.w.span)
+        self.middle_den = _common_denominator(c for row in middle.entries
+                                              for c in row)
+        self.middle = tuple((i, j, c) for i, row in enumerate(middle.entries)
+                            for j, c in enumerate(_scaled(row, self.middle_den))
+                            if c)
+        self.sign = sign
+
+    def evaluate(self, latent) -> tuple:
+        """``(u, v, w, den)`` of one latent: the integer coefficient lists
+        of its three images, which are ``u / (U.den * den)`` and so on, and
+        the latent's own common denominator ``den``."""
+        if len(latent) != self.cols:
+            raise ValueError("vector length does not match column count")
+        xs, den = _int_vector(latent)
+        derivs = []
+        for cs in xs:
+            ds = [cs]
+            for _ in range(self.depth):
+                cs = [k * c for k, c in enumerate(cs) if k]
+                ds.append(cs)
+            derivs.append(ds)
+        return self.u.apply(derivs), self.v.apply(derivs), self.w.apply(derivs), den
+
+    def interior(self, integrand: list[int], den: int, alpha, beta
+                 ) -> tuple[int, int]:
+        """``(num, den)`` of the integral over ``[alpha, beta]`` of an
+        integrand built from images ``u`` and ``v`` of latents whose
+        denominators multiply to `den`."""
+        num, iden = _int_integral(integrand, alpha, beta)
+        return num, iden * self.u.den * self.v.den * den
+
+    def values(self, w, den: int, point: Fraction) -> tuple[list[int], int]:
+        """``(xs, d)`` with ``xs[i] / d`` entry ``i`` at `point` of the
+        boundary vector of a latent with denominator `den`."""
+        p, q = point.numerator, point.denominator
+        power = max(max((len(cs) for cs in w), default=0) - 1, 0)
+        return ([_horner(cs, p, q, q ** (power + 1 - len(cs))) for cs in w],
+                self.w.den * den * q ** power)
+
+    def bracket(self, x, y) -> tuple[int, int]:
+        """``(num, den)`` of ``x^T M y`` for values ``x = (xs, d)`` and
+        ``y``."""
+        (xs, dx), (ys, dy) = x, y
+        return (sum(c * xs[i] * ys[j] for i, j, c in self.middle),
+                self.middle_den * dx * dy)
+
+    def residual(self, first, second, alpha: Fraction, beta: Fraction
+                 ) -> Fraction:
+        """The exact residual of the balance for two evaluated latents."""
+        u1, v1, w1, d1 = first
+        u2, v2, w2, d2 = second
+        integrand = _int_dot(u1, v2)
+        swapped = _int_dot(u2, v1)
+        if len(integrand) < len(swapped):
+            integrand.extend([0] * (len(swapped) - len(integrand)))
+        for i, c in enumerate(swapped):
+            integrand[i] += self.sign * c
+        at_beta = self.bracket(self.values(w1, d1, beta),
+                               self.values(w2, d2, beta))
+        at_alpha = self.bracket(self.values(w1, d1, alpha),
+                                self.values(w2, d2, alpha))
+        return Fraction(*_difference(
+            self.interior(integrand, d1 * d2, alpha, beta),
+            _difference(at_beta, at_alpha)))
+
+
+def _difference(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """``x - y`` for ``(num, den)`` pairs with positive denominators."""
+    return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
 
 
 class _Matrix:
@@ -929,12 +1081,16 @@ def _congruence_reduce(s: RatMatrix) -> tuple[Inertia, RatMatrix, RatMatrix]:
         a[i], a[j] = a[j], a[i]
 
     def congruence_addmul(dst: int, src: int, c: Fraction) -> None:
-        # column then matching row update: a <- E^T a E with E adding c*col_src
+        # column then matching row update: a <- E^T a E with E adding
+        # c*col_src; a zero source entry adds nothing
         for r in range(n):
-            a[r][dst] += c * a[r][src]
-            t[r][dst] += c * t[r][src]
+            if a[r][src]:
+                a[r][dst] += c * a[r][src]
+            if t[r][src]:
+                t[r][dst] += c * t[r][src]
         for r in range(n):
-            a[dst][r] += c * a[src][r]
+            if a[src][r]:
+                a[dst][r] += c * a[src][r]
 
     pos = neg = 0
     k = 0
@@ -1017,16 +1173,20 @@ def skew_canonical_congruence(s: RatMatrix) -> tuple[int, RatMatrix]:
         u = remaining[ii]
         v = [x / c for x in remaining[jj]]
         rest = [k for k in range(len(remaining)) if k not in found]
-        bu = [gram[ii][k] for k in rest]
-        bv = [gram[jj][k] / c for k in rest]
-        # w_k -> w_k - bu_k v + bv_k u; as u^T s v = 1 and s is skew, the
-        # pairings change by bv_k bu_l - bu_k bv_l
-        remaining = [[wx - bu_k * vx + bv_k * ux
-                      for wx, vx, ux in zip(remaining[k], v, u)]
-                     for k, bu_k, bv_k in zip(rest, bu, bv)]
-        gram = [[gram[k][l] + bv_k * bu_l - bu_k * bv_l
-                 for l, bu_l, bv_l in zip(rest, bu, bv)]
-                for k, bu_k, bv_k in zip(rest, bu, bv)]
+        # w_k -> w_k - bu_k v + bv_k u with bu_k = gram[ii][k] and
+        # bv_k = gram[jj][k] / c; as u^T s v = 1 and s is skew, the pairings
+        # change by bv_k bu_l - bu_k bv_l.  A vector with bu_k = bv_k = 0
+        # stays, and so do its pairings, so only the moved ones are updated.
+        moved = [(k, gram[ii][k], gram[jj][k] / c) for k in rest
+                 if gram[ii][k] or gram[jj][k]]
+        for k, bu_k, bv_k in moved:
+            remaining[k] = [wx - bu_k * vx + bv_k * ux
+                            for wx, vx, ux in zip(remaining[k], v, u)]
+            row = gram[k]
+            for l, bu_l, bv_l in moved:
+                row[l] += bv_k * bu_l - bu_k * bv_l
+        remaining = [remaining[k] for k in rest]
+        gram = [[gram[k][l] for l in rest] for k in rest]
         us.append(u)
         vs.append(v)
     p = len(us)

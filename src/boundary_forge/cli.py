@@ -215,7 +215,7 @@ def parse_problem_data(data, where: str = "problem") -> ProblemFile:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object at the top level")
     kind = data.get("kind")
-    if kind not in KIND_MATRICES:
+    if not isinstance(kind, str) or kind not in KIND_MATRICES:
         raise ParseError(f"{where}.kind: expected one of "
                          f"{sorted(KIND_MATRICES)}, got {reprlib.repr(kind)}")
     required = KIND_MATRICES[kind]

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Poly, PolyMatrix, RatMatrix, _balance_residual, _dot,
+from .algebra import (Poly, PolyMatrix, RatMatrix, _Balance, _dot,
                       polynomial_kernel_basis)
 from .dirac import BoundaryStructure, _skew_adjoint_boundary, validate_skew_adjoint
 from .twovar import TwoVarPolyMatrix, div_zeta_plus_eta, factor_general
@@ -61,7 +61,8 @@ class EmptyKernelError(ValueError):
 @dataclass(frozen=True)
 class ConstrainedStructure:
     """Boundary data of a constrained relation: the operator-part pairing
-    (Z_J, Sigma_J) and the constraint-part pairing (Z_G, V_G, Pi_G)."""
+    (Z_J, Sigma_J) and the constraint-part pairing (Z_G, V_G, Pi_G).
+    `G_adj` is G(-s)^T, the formal adjoint of G acting on multipliers."""
 
     J: PolyMatrix
     G: PolyMatrix
@@ -70,6 +71,7 @@ class ConstrainedStructure:
     Z_G: PolyMatrix
     V_G: PolyMatrix
     Pi_G: RatMatrix
+    G_adj: PolyMatrix
 
     @property
     def m(self) -> int:
@@ -113,13 +115,13 @@ def constrained_boundary(J: PolyMatrix, G: PolyMatrix) -> ConstrainedStructure:
         raise ValueError(f"constraint operator width {G.cols} does not match "
                          f"effort dimension {J.rows}")
     j_structure = _skew_adjoint_boundary(J)
-    g_adj = G.transpose().para()  # G(-s)^T, the formal adjoint acting on lam
+    g_adj = G.transpose().para()
     delta = (TwoVarPolyMatrix.outer(PolyMatrix.identity(G.cols), g_adj)
              - TwoVarPolyMatrix.outer(G, PolyMatrix.identity(G.rows)))
     xi = div_zeta_plus_eta(delta)
     z_g, v_g = factor_general(xi)
     pi_g = RatMatrix.identity(z_g.rows)
-    return ConstrainedStructure(J, G, j_structure, xi, z_g, v_g, pi_g)
+    return ConstrainedStructure(J, G, j_structure, xi, z_g, v_g, pi_g, g_adj)
 
 
 @dataclass(frozen=True)
@@ -180,26 +182,33 @@ def _constrained_sample(structure: ConstrainedStructure, basis, degree: int,
     multiplier = tuple(_random_poly(rng, degree)
                        for _ in range(structure.constraint_rows))
     j_part = structure.J.apply(effort)
-    g_part = structure.G.transpose().para().apply(multiplier)
+    g_part = structure.G_adj.apply(multiplier)
     flow = tuple(a + b for a, b in zip(j_part, g_part))
     return ConstrainedSample(effort, multiplier, flow, kernel_empty, degree, seed)
 
 
-def _constrained_middle(structure: ConstrainedStructure) -> RatMatrix:
-    """Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]], the constrained balance's M."""
-    zero = RatMatrix.zero(structure.n_g, structure.n_g)
-    return RatMatrix.block_diag([structure.Sigma_J, RatMatrix.vstack([
-        RatMatrix.hstack([zero, structure.Pi_G]),
-        RatMatrix.hstack([structure.Pi_G.transpose(), zero])])])
+def _constrained_latent(sample: ConstrainedSample) -> tuple[Poly, ...]:
+    """The latent (e; f; lam) of one constrained sample."""
+    return sample.effort + sample.flow + sample.multiplier
 
 
-def _constrained_triple(structure: ConstrainedStructure,
-                        sample: ConstrainedSample):
-    """The (e, f, (Z_J e; Z_G e; V_G lam)) of one constrained sample."""
-    w = (structure.Z_J.apply(sample.effort)
-         + structure.Z_G.apply(sample.effort)
-         + structure.V_G.apply(sample.multiplier))
-    return sample.effort, sample.flow, w
+def _constrained_balance(structure: ConstrainedStructure) -> _Balance:
+    """The constrained balance on the latent (e; f; lam): u = e, v = f and
+    w = (Z_J e; Z_G e; V_G lam), with M = Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]]."""
+    m, k = structure.m, structure.constraint_rows
+    n_j, n_g = structure.n_j, structure.n_g
+    zero = PolyMatrix.zero
+    ident = PolyMatrix.identity(m)
+    w = PolyMatrix.vstack([
+        PolyMatrix.hstack([structure.Z_J, zero(n_j, m + k)]),
+        PolyMatrix.hstack([structure.Z_G, zero(n_g, m + k)]),
+        PolyMatrix.hstack([zero(n_g, 2 * m), structure.V_G])])
+    pi = RatMatrix.vstack([
+        RatMatrix.hstack([RatMatrix.zero(n_g, n_g), structure.Pi_G]),
+        RatMatrix.hstack([structure.Pi_G.transpose(), RatMatrix.zero(n_g, n_g)])])
+    return _Balance(PolyMatrix.hstack([ident, zero(m, m + k)]),
+                    PolyMatrix.hstack([zero(m, m), ident, zero(m, k)]), w,
+                    RatMatrix.block_diag([structure.Sigma_J, pi]))
 
 
 def constrained_balance_form(structure: ConstrainedStructure,
@@ -213,11 +222,11 @@ def constrained_balance_form(structure: ConstrainedStructure,
           - [b_J1^T Sigma_J b_J2]_a^b
           - [b_G2^T Pi_G c_G1]_a^b  - [b_G1^T Pi_G c_G2]_a^b
 
-    computed in rational arithmetic; zero for every pair of constrained
+    computed in exact arithmetic; zero for every pair of constrained
     solutions.  The three brackets are the one form w1^T M w2 on
     w = (Z_J e; Z_G e; V_G lam) with M = Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]].
     """
-    return _balance_residual(_constrained_triple(structure, sample1),
-                             _constrained_triple(structure, sample2),
-                             _constrained_middle(structure),
-                             Fraction(interval[0]), Fraction(interval[1]))
+    balance = _constrained_balance(structure)
+    return balance.residual(balance.evaluate(_constrained_latent(sample1)),
+                            balance.evaluate(_constrained_latent(sample2)),
+                            Fraction(interval[0]), Fraction(interval[1]))

@@ -7,18 +7,26 @@ vanish must come out as literal zero; no tolerances enter except for the
 single floating-point power-split stage, whose deviation is reported
 separately against its own tolerance.
 
-Every balance check is the one residual of `algebra._balance_residual`,
+Every balance check is the one residual of `algebra._Balance`,
 
     int_alpha^beta (u1 . v2 +- u2 . v1) dz - [w1^T M w2]_alpha^beta,
 
 run by every suite in the one trial loop `_balance_trials`.  Each kind
-supplies its draws (pairs of random latents, or of constrained solutions),
-the (u, v, w) triple of a draw, the middle M, built once per suite, and the
-sign: (efforts, flows, Z l), Sigma and + for the Dirac form;
-(e, f, (Z_J e; Z_G e; V_G lam)), Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]] and
-+ for the constrained balance; (states, efforts, W l), -J_p and - for the
-symplectic balance.  The Dirac suite adds the power balance (the Dirac
-balance of a latent with itself, halved) on each trial's first triple.
+supplies its draws (pairs of random latents, or of constrained solutions)
+and its balance, built once per suite: the operators taking a draw's latent
+to its (u, v, w), the middle M and the sign.  They are (N_e, N_f, Z), Sigma
+and + for the Dirac form; (e, f, (Z_J e; Z_G e; V_G lam)) read off the
+latent (e; f; lam), Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]] and + for the
+constrained balance; (N_x, N_e, W), -J_p and - for the symplectic balance.
+The Dirac suite adds the power balance (the Dirac balance of a latent with
+itself, halved) on each trial's first latent.
+
+The trials run on integers over one common denominator: the balance turns
+its operators and the nonzero entries of M into integers once, each drawn
+latent is scaled by the lcm of its denominators, and every apply, dot,
+integral and endpoint evaluation stays in `int`.  Each residual becomes
+one `Fraction`; the split's floats are correctly rounded quotients of the
+same integers.
 """
 
 from __future__ import annotations
@@ -27,15 +35,14 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
-from .algebra import (Poly, _balance_residual, _bracket_difference, _dot,
+from .algebra import (Poly, _Balance, _difference, _int_dot,
                       polynomial_kernel_basis)
 from .constrained import (
     ConstrainedStructure,
-    _constrained_middle,
+    _constrained_balance,
+    _constrained_latent,
     _constrained_sample,
-    _constrained_triple,
     _random_fraction,
     _random_poly,
 )
@@ -47,8 +54,7 @@ from .dirac import (
     UnbalancedSignatureError,
     _power_split,
 )
-from .lagrange import LagrangeBoundary, _storage_triple
-from .twovar import _j_matrix
+from .lagrange import LagrangeBoundary, _storage_balance
 
 __all__ = [
     "Trajectory",
@@ -141,46 +147,51 @@ def random_latent(seed, dim: int, degree: int) -> Trajectory:
 # per-trial residuals ---------------------------------------------------------
 
 
-def _dirac_latent(structure: BoundaryStructure, latent):
-    """The (efforts, flows, boundary values) of one latent: its (u, v, w)
-    in the Dirac balance with middle Sigma."""
-    return (structure.efforts(latent), structure.flows(latent),
-            structure.boundary(latent))
+def _dirac_balance(structure: BoundaryStructure) -> _Balance:
+    """The Dirac balance: (efforts, flows, boundary values) = (N_e, N_f, Z)
+    applied to a latent, with middle Sigma."""
+    return _Balance(structure.rep.N_e, structure.rep.N_f, structure.Z,
+                    structure.Sigma)
 
 
-def _power_trial(structure: BoundaryStructure, split: PowerSplit | None,
-                 latent, alpha, beta) -> tuple[Fraction, float | None]:
+def _power_trial(balance: _Balance, split: PowerSplit | None, latent,
+                 alpha, beta) -> tuple[Fraction, float | None]:
     """Power balance residual and split deviation (None without a split)
-    of one evaluated latent.
+    of one latent evaluated by the Dirac `balance`.
 
     The power balance is the Dirac balance of the latent with itself,
     halved: ``(2T - D) / 2 = T - D / 2`` for the interior power ``T`` and the
     bracket difference ``D``, so ``T`` is formed once and serves the split
-    too.  The split lives in floating point, so its roundoff grows with
-    the size of the boundary values; dividing by the magnitude of the
-    compared terms makes the tolerance meaningful across trajectory scales.
+    too, as do the boundary values at the endpoints.  The split lives in
+    floating point, so its roundoff grows with the size of the boundary
+    values; dividing by the magnitude of the compared terms makes the
+    tolerance meaningful across trajectory scales.
     """
-    e, f, b = latent
-    total = _dot(e, f).integral(alpha, beta)
-    balance = total - _bracket_difference(b, b, structure.Sigma,
-                                          alpha, beta) / 2
+    e, f, b, den = latent
+    total = balance.interior(_int_dot(e, f), den * den, alpha, beta)
+    at_beta = balance.values(b, den, beta)
+    at_alpha = balance.values(b, den, alpha)
+    num, bden = _difference(balance.bracket(at_beta, at_beta),
+                            balance.bracket(at_alpha, at_alpha))
+    power = Fraction(*_difference(total, (num, 2 * bden)))
     if split is None:
-        return balance, None
+        return power, None
 
-    def boundary_power(point) -> float:
-        f_delta, e_delta = split.apply([p(point) for p in b])
+    def boundary_power(values) -> float:
+        xs, d = values
+        f_delta, e_delta = split.apply([x / d for x in xs])
         return sum(x * y for x, y in zip(e_delta, f_delta))
 
     try:
-        interior = float(total)
-        at_beta = boundary_power(beta)
-        at_alpha = boundary_power(alpha)
+        interior = total[0] / total[1]
+        at_beta = boundary_power(at_beta)
+        at_alpha = boundary_power(at_alpha)
     except OverflowError:
         raise SplitToleranceError(
             "a trial's power or boundary value exceeds the float range "
             "of the split") from None
     scale = max(1.0, abs(interior), abs(at_beta), abs(at_alpha))
-    return balance, abs(interior - (at_beta - at_alpha)) / scale
+    return power, abs(interior - (at_beta - at_alpha)) / scale
 
 
 def _optional_split(structure: BoundaryStructure,
@@ -221,8 +232,9 @@ def _latent_trials(m: int, trials: int, degrees, seed: int, interval):
 
 def _constrained_trials(structure: ConstrainedStructure, trials: int,
                         degrees, seed: int, interval):
-    """Per trial, two random constrained solutions and the interval: the
-    given one, or else one drawn from the third sub-seed."""
+    """Per trial, the latents (e; f; lam) of two random constrained
+    solutions and the interval: the given one, or else one drawn from the
+    third sub-seed."""
     trial_degrees = _trial_degrees(trials, degrees)
     bases = {d: polynomial_kernel_basis(structure.G, d)
              for d in dict.fromkeys(trial_degrees)}
@@ -230,21 +242,21 @@ def _constrained_trials(structure: ConstrainedStructure, trials: int,
         basis = bases[degree]
         s1 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 0))
         s2 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 1))
+        l1, l2 = _constrained_latent(s1), _constrained_latent(s2)
         if interval is None:
-            yield s1, s2, *_random_interval(random.Random(_sub_seed(seed, t, 2)))
+            yield l1, l2, *_random_interval(random.Random(_sub_seed(seed, t, 2)))
         else:
-            yield s1, s2, Fraction(interval[0]), Fraction(interval[1])
+            yield l1, l2, Fraction(interval[0]), Fraction(interval[1])
 
 
-def _balance_trials(draws, triple, middle, sign: int = 1):
-    """For each drawn ``(x1, x2, alpha, beta)``, the balance residual of
-    ``triple(x1)`` and ``triple(x2)`` through `middle` with `sign`, the
-    first triple, the interval and the time taken by both."""
+def _balance_trials(draws, balance: _Balance):
+    """For each drawn ``(x1, x2, alpha, beta)``, the residual of `balance`
+    on the latents ``x1`` and ``x2``, the first latent evaluated, the
+    interval and the time taken by both."""
     for x1, x2, alpha, beta in draws:
         start = time.perf_counter()
-        first = triple(x1)
-        residual = _balance_residual(first, triple(x2), middle, alpha, beta,
-                                     sign)
+        first = balance.evaluate(x1)
+        residual = balance.residual(first, balance.evaluate(x2), alpha, beta)
         yield residual, first, alpha, beta, time.perf_counter() - start
 
 
@@ -263,16 +275,17 @@ def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
     """
     start = time.perf_counter()
     split = _optional_split(structure, split_tolerance)
+    dirac = _dirac_balance(structure)
     balance_s = time.perf_counter() - start
     form, balance, deviations = [], [], []
     form_s = 0.0
     for residual, first, alpha, beta, elapsed in _balance_trials(
             _latent_trials(structure.rep.m, trials, degrees, seed, interval),
-            partial(_dirac_latent, structure), structure.Sigma):
+            dirac):
         form.append(residual)
         form_s += elapsed
         start = time.perf_counter()
-        power, deviation = _power_trial(structure, split, first, alpha, beta)
+        power, deviation = _power_trial(dirac, split, first, alpha, beta)
         balance_s += time.perf_counter() - start
         balance.append(power)
         deviations.append(deviation)
@@ -285,13 +298,12 @@ def dirac_suite(structure: BoundaryStructure, trials: int = DEFAULT_TRIALS,
                 None if split is None else split_tolerance))
 
 
-def _single_check(check: str, instance: str, trials: int, draws, triple,
-                  middle, sign: int = 1) -> tuple[VerificationReport]:
+def _single_check(check: str, instance: str, trials: int, draws,
+                  balance: _Balance) -> tuple[VerificationReport]:
     """One report over the residuals of the trial loop; its `elapsed`
     includes drawing the trials."""
     start = time.perf_counter()
-    residuals = tuple(row[0] for row in
-                      _balance_trials(draws, triple, middle, sign))
+    residuals = tuple(row[0] for row in _balance_trials(draws, balance))
     return (VerificationReport(check, instance, trials, residuals,
                                time.perf_counter() - start),)
 
@@ -303,7 +315,7 @@ def constrained_suite(structure: ConstrainedStructure,
     return _single_check(
         "constrained_balance", structure.describe(), trials,
         _constrained_trials(structure, trials, degrees, seed, interval),
-        partial(_constrained_triple, structure), _constrained_middle(structure))
+        _constrained_balance(structure))
 
 
 def lagrange_suite(boundary: LagrangeBoundary, trials: int = DEFAULT_TRIALS,
@@ -313,4 +325,4 @@ def lagrange_suite(boundary: LagrangeBoundary, trials: int = DEFAULT_TRIALS,
     return _single_check(
         "symplectic_balance", boundary.describe(), trials,
         _latent_trials(boundary.m, trials, degrees, seed, interval),
-        partial(_storage_triple, boundary), -_j_matrix(boundary.p), sign=-1)
+        _storage_balance(boundary))

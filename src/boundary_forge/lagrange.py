@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, PolyMatrix, _balance_residual, full_rank_everywhere
+from .algebra import Poly, PolyMatrix, _Balance, full_rank_everywhere
 from .dirac import ConditionReport, _condition_reports
 from .twovar import TwoVarPolyMatrix, _j_matrix, div_zeta_plus_eta, factor_skew
 
@@ -168,10 +168,11 @@ def lagrange_boundary(pair: LagrangePair) -> LagrangeBoundary:
     return LagrangeBoundary(pair, rep, theta, lam, w, p)
 
 
-def _storage_triple(boundary: LagrangeBoundary, latent):
-    """The (states, efforts, W l) of one latent in the symplectic balance."""
-    return (boundary.states(latent), boundary.efforts(latent),
-            boundary.boundary(latent))
+def _storage_balance(boundary: LagrangeBoundary) -> _Balance:
+    """The symplectic balance: (states, efforts, W l) = (N_x, N_e, W)
+    applied to a latent, with middle -J_p and sign -."""
+    return _Balance(boundary.rep.N_x, boundary.rep.N_e, boundary.W,
+                    -_j_matrix(boundary.p), sign=-1)
 
 
 def storage_balance_form(boundary: LagrangeBoundary, latent1, latent2, alpha, beta) -> Fraction:
@@ -183,10 +184,9 @@ def storage_balance_form(boundary: LagrangeBoundary, latent1, latent2, alpha, be
           + x_delta1(b)^T e_delta2(b) - e_delta1(b)^T x_delta2(b)
           - x_delta1(a)^T e_delta2(a) + e_delta1(a)^T x_delta2(a)
 
-    computed in rational arithmetic; zero for all polynomial latents.  The
+    computed in exact arithmetic; zero for all polynomial latents.  The
     bracket is w1^T J_p w2, so the middle of the balance is -J_p.
     """
-    return _balance_residual(_storage_triple(boundary, latent1),
-                             _storage_triple(boundary, latent2),
-                             -_j_matrix(boundary.p), Fraction(alpha),
-                             Fraction(beta), sign=-1)
+    balance = _storage_balance(boundary)
+    return balance.residual(balance.evaluate(latent1), balance.evaluate(latent2),
+                            Fraction(alpha), Fraction(beta))

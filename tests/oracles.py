@@ -35,12 +35,24 @@ package with no caller outside the tests.
 `PolyMatrix.apply` and `algebra._dot` as they were before they visited
 only nonzero entries: every product of every row-column sum, zeros
 included, and a new polynomial for every term of `apply` and `_dot`.
+
+`skew_congruence_full_update` and `congruence_reduce_full_update` are
+`skew_canonical_congruence` and `algebra._congruence_reduce` as they were
+before they skipped zero updates: every remaining vector and every Gram
+entry updated after each pivot, and every row of an elementary congruence
+step visited, zero source entries included.
+
+`fraction_balance_residual` and `fraction_power_trial` are the trial
+residuals as they were before the trials ran on integers: every apply, dot,
+integral and endpoint evaluation in `Fraction`s, with the middle matrix
+scanned entry by entry.  `dirac_triple`, `storage_triple` and
+`constrained_triple` build their (u, v, w) triples, and `storage_middle`
+and `constrained_middle` their middle matrices.
 """
 
 import itertools
 import time
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 
 from boundary_forge import (
@@ -48,6 +60,7 @@ from boundary_forge import (
     BoundaryStructure,
     DimensionMismatchError,
     InconsistentSystemError,
+    Inertia,
     LagrangeBoundary,
     NotDivisibleError,
     Poly,
@@ -69,10 +82,11 @@ from boundary_forge.realize import (
     realize,
     verify_realization_structure,
 )
-from boundary_forge.algebra import _derivatives, _dot
-from boundary_forge.dirac import DEFAULT_SPLIT_TOLERANCE
+from boundary_forge.algebra import (NotSkewError, NotSymmetricError,
+                                    _derivatives, _dot)
+from boundary_forge.dirac import DEFAULT_SPLIT_TOLERANCE, SplitToleranceError
 from boundary_forge.harness import (
-    _dirac_latent,
+    _dirac_balance,
     _optional_split,
     _power_trial,
     _single_check,
@@ -233,6 +247,111 @@ def skew_congruence_by_bilinears(s: RatMatrix) -> tuple[int, RatMatrix]:
         vs.append(v)
     cols = us + vs + remaining
     return len(us), RatMatrix(n, n, [[col[i] for col in cols] for i in range(n)])
+
+
+def skew_congruence_full_update(s: RatMatrix) -> tuple[int, RatMatrix]:
+    """``(p, t)`` with ``t.T @ s @ t = blockdiag([[0, I_p], [-I_p, 0]], 0)``
+    by symplectic Gram-Schmidt over a kept Gram matrix, updating every
+    remaining vector and pairing after each pivot."""
+    if not s.is_skew():
+        raise NotSkewError("skew_canonical_congruence requires a skew matrix")
+    n = s.rows
+    remaining = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    # gram[k][l] = remaining[k]^T s remaining[l], kept instead of re-formed
+    gram = [list(row) for row in s.entries]
+    us, vs = [], []
+    while True:
+        found = next(((ii, jj) for ii in range(len(remaining))
+                      for jj in range(ii + 1, len(remaining))
+                      if gram[ii][jj] != 0), None)
+        if not found:
+            break
+        ii, jj = found
+        c = gram[ii][jj]
+        u = remaining[ii]
+        v = [x / c for x in remaining[jj]]
+        rest = [k for k in range(len(remaining)) if k not in found]
+        bu = [gram[ii][k] for k in rest]
+        bv = [gram[jj][k] / c for k in rest]
+        # w_k -> w_k - bu_k v + bv_k u; as u^T s v = 1 and s is skew, the
+        # pairings change by bv_k bu_l - bu_k bv_l
+        remaining = [[wx - bu_k * vx + bv_k * ux
+                      for wx, vx, ux in zip(remaining[k], v, u)]
+                     for k, bu_k, bv_k in zip(rest, bu, bv)]
+        gram = [[gram[k][l] + bv_k * bu_l - bu_k * bv_l
+                 for l, bu_l, bv_l in zip(rest, bu, bv)]
+                for k, bu_k, bv_k in zip(rest, bu, bv)]
+        us.append(u)
+        vs.append(v)
+    p = len(us)
+    cols = us + vs + remaining
+    t = RatMatrix(n, n, [[cols[j][i] for j in range(n)] for i in range(n)])
+    return p, t
+
+
+def congruence_reduce_full_update(s: RatMatrix
+                                  ) -> tuple[Inertia, RatMatrix, RatMatrix]:
+    """``(inertia, t, t.T @ s @ t)`` by elementary congruence steps, each
+    visiting every row."""
+    if not s.is_symmetric():
+        raise NotSymmetricError("inertia_congruence requires a symmetric matrix")
+    n = s.rows
+    a = [list(row) for row in s.entries]
+    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def congruence_swap(i: int, j: int) -> None:
+        if i == j:
+            return
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+            t[r][i], t[r][j] = t[r][j], t[r][i]
+        a[i], a[j] = a[j], a[i]
+
+    def congruence_addmul(dst: int, src: int, c: Fraction) -> None:
+        # column then matching row update: a <- E^T a E with E adding c*col_src
+        for r in range(n):
+            a[r][dst] += c * a[r][src]
+            t[r][dst] += c * t[r][src]
+        for r in range(n):
+            a[dst][r] += c * a[src][r]
+
+    pos = neg = 0
+    k = 0
+    while k < n:
+        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if piv is not None:
+            congruence_swap(k, piv)
+            d = a[k][k]
+            for j in range(k + 1, n):
+                if a[k][j] != 0:
+                    congruence_addmul(j, k, -a[k][j] / d)
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            k += 1
+            continue
+        pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                     if a[i][j] != 0), None)
+        if pair is None:
+            break
+        i, j = pair
+        congruence_swap(k, i)
+        if j == k:
+            j = i  # the swap moved the partner
+        congruence_swap(k + 1, j)
+        c = a[k][k + 1]
+        for col in range(k + 2, n):
+            c1 = -a[k + 1][col] / c
+            c2 = -a[k][col] / c
+            if c1 != 0:
+                congruence_addmul(col, k, c1)
+            if c2 != 0:
+                congruence_addmul(col, k + 1, c2)
+        pos += 1
+        neg += 1
+        k += 2
+    return Inertia(pos, neg, n - pos - neg), RatMatrix(n, n, t), RatMatrix(n, n, a)
 
 
 class BlockTwoVar:
@@ -400,8 +519,7 @@ def check_dirac_form(structure: BoundaryStructure, l1, l2, alpha, beta
     interior pairing integral minus the boundary bracket difference."""
     (report,) = _single_check(
         "dirac_form", structure.describe(), 1,
-        [(l1, l2, Fraction(alpha), Fraction(beta))],
-        partial(_dirac_latent, structure), structure.Sigma)
+        [(l1, l2, Fraction(alpha), Fraction(beta))], _dirac_balance(structure))
     return report
 
 
@@ -413,8 +531,8 @@ def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
     against the split tolerance as well."""
     start = time.perf_counter()
     split = _optional_split(structure, split_tolerance)
-    balance, deviation = _power_trial(structure, split,
-                                      _dirac_latent(structure, l),
+    dirac = _dirac_balance(structure)
+    balance, deviation = _power_trial(dirac, split, dirac.evaluate(l),
                                       Fraction(alpha), Fraction(beta))
     return VerificationReport("power_balance", structure.describe(), 1,
                               (balance,), time.perf_counter() - start,
@@ -459,3 +577,110 @@ def dense_apply(self, vec) -> tuple[Poly, ...]:
 def dense_dot(u, v) -> Poly:
     """Sum of the entrywise products of two sequences, as a polynomial."""
     return sum((x * y for x, y in zip(u, v)), Poly.zero())
+
+
+def _bilinear(x, middle: RatMatrix, y) -> Fraction:
+    """``x^T M y`` for rational vectors, multiplying only the nonzero
+    entries of the constant matrix ``M``."""
+    return sum((xi * c * y[j] for xi, row in zip(x, middle.entries)
+                for j, c in enumerate(row) if c), Fraction(0))
+
+
+def fraction_balance_residual(first, second, middle: RatMatrix, alpha, beta,
+                              sign: int = 1) -> Fraction:
+    """Exact residual of one balance law over ``[alpha, beta]``:
+
+        int (u1 . v2 + sign u2 . v1) dz - [w1^T M w2]_alpha^beta
+
+    for the ``(u, v, w)`` polynomial vector triples `first` and `second`
+    and the constant middle matrix ``M``.  The boundary vectors are
+    evaluated at the two endpoints before they meet ``M``: evaluation at a
+    point is a ring homomorphism, so this is exactly the endpoint
+    difference of the polynomial bracket ``w1^T M w2``.
+    """
+    u1, v1, w1 = first
+    u2, v2, w2 = second
+    interior = _dot(u1, v2)
+    swapped = _dot(u2, v1)
+    interior = interior + swapped if sign > 0 else interior - swapped
+    return interior.integral(alpha, beta) - _bracket_difference(
+        w1, w2, middle, alpha, beta)
+
+
+def _bracket_difference(w1, w2, middle: RatMatrix, alpha, beta) -> Fraction:
+    """``[w1^T M w2]_alpha^beta`` for polynomial vectors, evaluated at the
+    two endpoints before the vectors meet ``M``."""
+
+    def bracket(point) -> Fraction:
+        x = [w(point) for w in w1]
+        y = x if w2 is w1 else [w(point) for w in w2]
+        return _bilinear(x, middle, y)
+
+    return bracket(beta) - bracket(alpha)
+
+
+def dirac_triple(structure: BoundaryStructure, latent):
+    """The (efforts, flows, boundary values) of one latent: its (u, v, w)
+    in the Dirac balance with middle Sigma."""
+    return (structure.efforts(latent), structure.flows(latent),
+            structure.boundary(latent))
+
+
+def storage_triple(boundary: LagrangeBoundary, latent):
+    """The (states, efforts, W l) of one latent in the symplectic balance."""
+    return (boundary.states(latent), boundary.efforts(latent),
+            boundary.boundary(latent))
+
+
+def storage_middle(boundary: LagrangeBoundary) -> RatMatrix:
+    """-J_p, the symplectic balance's M (with sign -1)."""
+    return -_j_matrix(boundary.p)
+
+
+def constrained_triple(structure, sample):
+    """The (e, f, (Z_J e; Z_G e; V_G lam)) of one constrained sample."""
+    w = (structure.Z_J.apply(sample.effort)
+         + structure.Z_G.apply(sample.effort)
+         + structure.V_G.apply(sample.multiplier))
+    return sample.effort, sample.flow, w
+
+
+def constrained_middle(structure) -> RatMatrix:
+    """Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]], the constrained balance's M."""
+    zero = RatMatrix.zero(structure.n_g, structure.n_g)
+    return RatMatrix.block_diag([structure.Sigma_J, RatMatrix.vstack([
+        RatMatrix.hstack([zero, structure.Pi_G]),
+        RatMatrix.hstack([structure.Pi_G.transpose(), zero])])])
+
+
+def fraction_power_trial(structure: BoundaryStructure, split, latent, alpha,
+                         beta) -> tuple[Fraction, float | None]:
+    """Power balance residual and split deviation (None without a split)
+    of one evaluated latent, from its `dirac_triple`.
+
+    The power balance is the Dirac balance of the latent with itself,
+    halved: ``(2T - D) / 2 = T - D / 2`` for the interior power ``T`` and the
+    bracket difference ``D``, so ``T`` is formed once and serves the split
+    too.
+    """
+    e, f, b = latent
+    total = _dot(e, f).integral(alpha, beta)
+    balance = total - _bracket_difference(b, b, structure.Sigma,
+                                          alpha, beta) / 2
+    if split is None:
+        return balance, None
+
+    def boundary_power(point) -> float:
+        f_delta, e_delta = split.apply([p(point) for p in b])
+        return sum(x * y for x, y in zip(e_delta, f_delta))
+
+    try:
+        interior = float(total)
+        at_beta = boundary_power(beta)
+        at_alpha = boundary_power(alpha)
+    except OverflowError:
+        raise SplitToleranceError(
+            "a trial's power or boundary value exceeds the float range "
+            "of the split") from None
+    scale = max(1.0, abs(interior), abs(at_beta), abs(at_alpha))
+    return balance, abs(interior - (at_beta - at_alpha)) / scale

@@ -63,6 +63,17 @@ def test_parse_rejects_unknown_kind():
         parse_problem_data({"kind": "mystery", "J": [[["1"]]]})
 
 
+@pytest.mark.parametrize("kind", [[], {}, ["dirac"], {"dirac": 1}])
+def test_unhashable_kind_exits_2_naming_the_field(tmp_path, capsys, kind):
+    path = write_problem(tmp_path, {"kind": kind, "J": [[["0"]]]})
+    for subcommand in ("check", "report"):
+        assert main([subcommand, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "problem.kind" in err and "Traceback" not in err
+
+
 def test_parse_rejects_unknown_field():
     data = dict(COUPLING)
     data["extra"] = 1

@@ -1,9 +1,9 @@
 """The balance-law kernel and the Dirac trial evaluator against references,
 and how often the suites repeat work.
 
-Every balance check goes through `algebra._balance_residual`, which
-evaluates the boundary vectors at the two endpoints before pairing them
-through the constant middle matrix.  The polynomial-bracket functions it
+Every balance check goes through `algebra._Balance`, which evaluates the
+boundary vectors at the two endpoints before pairing them through the
+constant middle matrix, in integers over one common denominator.  The polynomial-bracket functions it
 replaced are kept below, verbatim, as the reference: on every curated
 structure and every repository problem file the checks must give equal
 exact residuals and bit-equal float split deviations.  The structures are
@@ -32,7 +32,7 @@ from boundary_forge import (
     validate_lagrange_pair,
 )
 from boundary_forge import constrained, lagrange
-from boundary_forge.algebra import Poly, _dot
+from boundary_forge.algebra import Poly, _dot, _int_dot, _IntOperator
 from boundary_forge.cli import parse_problem
 from boundary_forge.constrained import (
     ConstrainedSample,
@@ -343,13 +343,13 @@ def test_dirac_suite_applies_each_operator_once_per_latent(monkeypatch):
         PolyMatrix.from_rows([[0, Poly.variable()], [Poly.variable(), 0]]))
     assert _balanced(structure)
     calls = []
-    apply = PolyMatrix.apply
+    apply = _IntOperator.apply
 
-    def counting_apply(self, vec):
+    def counting_apply(self, derivs):
         calls.append(self)
-        return apply(self, vec)
+        return apply(self, derivs)
 
-    monkeypatch.setattr(PolyMatrix, "apply", counting_apply)
+    monkeypatch.setattr(_IntOperator, "apply", counting_apply)
     trials = 7
     dirac_suite(structure, trials, seed=1)
     # N_f, N_e and Z on each of the two latents of a trial
@@ -364,10 +364,11 @@ def test_dirac_suite_forms_each_interior_pairing_once(monkeypatch):
 
     def counting_dot(u, v):
         calls.append(len(u))
-        return _dot(u, v)
+        return _int_dot(u, v)
 
     for name in ("boundary_forge.algebra", "boundary_forge.harness"):
-        monkeypatch.setattr(importlib.import_module(name), "_dot", counting_dot)
+        monkeypatch.setattr(importlib.import_module(name), "_int_dot",
+                            counting_dot)
     trials = 10
     dirac_suite(structure, trials, seed=1)
     # e1.f2 and e2.f1 for the form, e1.f1 for both the power balance and
@@ -378,13 +379,13 @@ def test_dirac_suite_forms_each_interior_pairing_once(monkeypatch):
 def test_check_power_balance_applies_each_operator_once(monkeypatch):
     label, structure = STRUCTURES[0]
     calls = []
-    apply = PolyMatrix.apply
+    apply = _IntOperator.apply
 
-    def counting_apply(self, vec):
+    def counting_apply(self, derivs):
         calls.append(self)
-        return apply(self, vec)
+        return apply(self, derivs)
 
-    monkeypatch.setattr(PolyMatrix, "apply", counting_apply)
+    monkeypatch.setattr(_IntOperator, "apply", counting_apply)
     l, _, a, b = next(_latent_trials(structure.rep.m, 1, (3,), 2, None))
     check_power_balance(structure, l, a, b)
     # N_f, N_e and Z on the one latent
