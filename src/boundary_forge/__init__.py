@@ -85,6 +85,7 @@ from .realize import (
     NonUniqueSolutionError,
     Realization,
     StructureIdentityReport,
+    SwapIndexError,
     UnsolvableError,
     partition_search,
     realize,

@@ -736,9 +736,6 @@ class RatMatrix(_Matrix):
         """Largest absolute entry (zero for empty matrices)."""
         return max((abs(v) for row in self.entries for v in row), default=_ZERO)
 
-    def to_float(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.entries]
-
     @classmethod
     def block_diag(cls, mats: Sequence["RatMatrix"]) -> "RatMatrix":
         mats = list(mats)
@@ -1119,12 +1116,11 @@ def _congruence_reduce(s: RatMatrix) -> tuple[Inertia, RatMatrix, RatMatrix]:
         congruence_swap(k + 1, j)
         c = a[k][k + 1]
         for col in range(k + 2, n):
-            c1 = -a[k + 1][col] / c
-            c2 = -a[k][col] / c
-            if c1 != 0:
-                congruence_addmul(col, k, c1)
-            if c2 != 0:
-                congruence_addmul(col, k + 1, c2)
+            c1, c2 = a[k + 1][col], a[k][col]
+            if c1:
+                congruence_addmul(col, k, -c1 / c)
+            if c2:
+                congruence_addmul(col, k + 1, -c2 / c)
         pos += 1
         neg += 1
         k += 2

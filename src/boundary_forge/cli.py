@@ -65,6 +65,7 @@ from .lagrange import LagrangePair, lagrange_boundary, lagrange_condition_report
 from .realize import (
     NoneFoundError,
     NonUniqueSolutionError,
+    SwapIndexError,
     UnsolvableError,
     partition_search,
     realize,
@@ -75,6 +76,7 @@ from .twovar import TwoVarPolyMatrix
 __all__ = [
     "ParseError",
     "ShapeError",
+    "SplitKindError",
     "ProblemFile",
     "RunOptions",
     "parse_problem",
@@ -105,6 +107,10 @@ class ParseError(ValueError):
 
 class ShapeError(ParseError):
     """Structurally valid file whose matrix shapes do not fit its kind."""
+
+
+class SplitKindError(ValueError):
+    """`split` asked of a kind whose pairing is symplectic, not symmetric."""
 
 
 @dataclass(frozen=True)
@@ -519,7 +525,7 @@ def run(subcommand: str, problem: ProblemFile, options: RunOptions) -> dict:
                 report["split"] = section
                 passed = passed and ok
             elif subcommand == "split":
-                raise ValueError(
+                raise SplitKindError(
                     "split applies to symmetric boundary pairings; this kind "
                     "carries a symplectic pairing (always in canonical form)")
         if subcommand in ("realize", "report"):
@@ -684,7 +690,7 @@ def main(argv=None) -> int:
             tolerance=args.tolerance,
         )
         report = run(args.subcommand, problem, options)
-    except ValueError as exc:  # ParseError is a ValueError
+    except (ParseError, SplitKindError, SwapIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "structured":

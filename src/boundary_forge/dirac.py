@@ -35,15 +35,14 @@ flows, f = J(d/dz) e) lands on the familiar orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
-
-import numpy as np
+from math import fsum, sqrt
 
 from .algebra import (
     Inertia,
     Poly,
     PolyMatrix,
     RatMatrix,
+    _congruence_reduce,
     full_rank_everywhere,
     inertia_congruence,
 )
@@ -281,6 +280,13 @@ class PowerSplit:
     Q_p = [[0, I_p], [I_p, 0]].  Boundary values map through w = T b into
     (f_delta, e_delta) = (w[:p], w[p:]) with
     b1^T Sigma b2 = f_delta1^T e_delta2 + e_delta1^T f_delta2.
+
+    The rows of `T` are read off the reduced form of the exact congruence
+    (:func:`inertia_congruence`) with one rounding per entry.  A hyperbolic
+    block [[0, c], [c, 0]] on (x_k, x_l) is the port f = sqrt|c| x_k,
+    e = sign(c) sqrt|c| x_l.  The i-th positive 1x1 entry d_i on x_i pairs
+    with the i-th negative one d_j on x_j as
+    f, e = (sqrt(d_i) x_i +- sqrt|d_j| x_j) / sqrt 2.
     """
 
     T: tuple[tuple[float, ...], ...]
@@ -302,56 +308,99 @@ def canonical_power_split(sigma: RatMatrix,
     """Split a symmetric invertible pairing with balanced signature into
     pointwise power-conjugated ports.
 
-    The signature is checked exactly first; an unbalanced one raises
-    :class:`UnbalancedSignatureError`.  The transformation itself is the one
-    floating-point step of the package (a symmetric eigendecomposition), and
-    its residual is measured and must stay below `tolerance`.
+    One exact congruence t^T Sigma t = R gives the signature (an unbalanced
+    one raises :class:`UnbalancedSignatureError`) and the reduced form R,
+    whose split is read off its blocks; T is that split times the float of
+    the exact t^-1.  The residual is measured against `sigma` and must stay
+    below `tolerance`.  The congruence pivots by position, not by size, so
+    for a general `sigma` the split can be less well conditioned than an
+    orthogonal one; the pairings of the pipeline are already reduced and
+    split without it.
     """
-    inertia, _ = inertia_congruence(sigma)
-    return _power_split(sigma, inertia, tolerance)
+    inertia, t, reduced = _congruence_reduce(sigma)
+    _check_splittable(inertia)
+    entries = _float_entries(sigma, "pairing")
+    rows = _reduced_rows(reduced, _float_entries(reduced, "reduced pairing"))
+    t_inv = _float_entries(t.inverse(), "congruence")
+    rows = [[fsum(x * t_inv[k, j] for k, x in enumerate(row)
+                  if x and (k, j) in t_inv) for j in range(sigma.rows)]
+            for row in rows]
+    return _checked_split(rows, entries, inertia.positive, tolerance)
 
 
 def _power_split(sigma: RatMatrix, inertia: Inertia,
                  tolerance: float) -> PowerSplit:
-    """:func:`canonical_power_split` given the inertia of `sigma`."""
+    """:func:`canonical_power_split` of a `sigma` already in the reduced form
+    of the congruence, as :func:`factor_symmetric` returns it, given its
+    inertia."""
+    _check_splittable(inertia)
+    entries = _float_entries(sigma, "pairing")
+    return _checked_split(_reduced_rows(sigma, entries), entries,
+                          inertia.positive, tolerance)
+
+
+def _check_splittable(inertia: Inertia) -> None:
     if inertia.zero != 0:
         raise ValueError(f"pairing matrix must be invertible, signature {inertia}")
     if not inertia.is_balanced:
         raise UnbalancedSignatureError(inertia)
-    p = inertia.positive
-    n = sigma.rows
-    if n == 0:
-        return PowerSplit((), 0, 0.0, tolerance)
+
+
+def _float_entries(matrix: RatMatrix, what: str) -> dict[tuple[int, int], float]:
+    """The nonzero entries of `matrix` as floats, keyed by position."""
     try:
-        sig = np.array(sigma.to_float(), dtype=float)
+        return {(i, j): float(v) for i, row in enumerate(matrix.entries)
+                for j, v in enumerate(row) if v}
     except OverflowError:
-        big = sigma.max_abs()
+        big = matrix.max_abs()
         raise SplitToleranceError(
-            f"pairing entry of magnitude about 2^"
+            f"{what} entry of magnitude about 2^"
             f"{big.numerator.bit_length() - big.denominator.bit_length()} "
             f"exceeds the float range of the split") from None
-    eigvals, eigvecs = np.linalg.eigh(sig)
-    order = np.argsort(-eigvals)  # positives first; exact inertia fixed the counts
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    scale = np.sqrt(np.abs(eigvals))
-    s_fact = eigvecs * scale  # columns scaled by sqrt|lambda|
-    half = 1.0 / sqrt(2.0)
-    g = np.zeros((n, n))
-    g[:p, :p] = np.eye(p) * half
-    g[:p, p:] = np.eye(p) * half
-    g[p:, :p] = np.eye(p) * half
-    g[p:, p:] = -np.eye(p) * half
-    t = g @ s_fact.T
-    q = np.zeros((n, n))
-    q[:p, p:] = np.eye(p)
-    q[p:, :p] = np.eye(p)
-    residual = float(np.max(np.abs(t.T @ q @ t - sig)))
+
+
+def _reduced_rows(sigma: RatMatrix, entries: dict) -> list[list[float]]:
+    """The rows of T (flows, then efforts) for a reduced `sigma` whose
+    nonzero entries are `entries` as floats; signs come from the exact
+    entries."""
+    ports: list[tuple[dict, dict]] = []
+    positive, negative = [], []
+    exact = sigma.entries
+    k = 0
+    while k < sigma.rows:
+        if exact[k][k]:
+            side = positive if exact[k][k] > 0 else negative
+            side.append((k, sqrt(abs(entries[k, k]) / 2)))
+            k += 1
+        else:
+            r = sqrt(abs(entries[k, k + 1]))
+            ports.append(({k: r}, {k + 1: r if exact[k][k + 1] > 0 else -r}))
+            k += 2
+    ports += [({i: a, j: b}, {i: a, j: -b})
+              for (i, a), (j, b) in zip(positive, negative)]
+    return [[row.get(j, 0.0) for j in range(sigma.rows)]
+            for row in [f for f, _ in ports] + [e for _, e in ports]]
+
+
+def _checked_split(rows: list[list[float]], sigma: dict, p: int,
+                   tolerance: float) -> PowerSplit:
+    """The split with rows `rows` of a pairing whose nonzero float entries
+    are `sigma`, or :class:`SplitToleranceError` when its residual
+    max |T^T Q_p T - Sigma| exceeds `tolerance`.  Each entry of T^T Q_p T is
+    the correctly rounded sum of its nonzero products."""
+    terms: dict[tuple[int, int], list[float]] = {}
+    for row, partner in zip(rows, rows[p:] + rows[:p]):  # (Q_p T)[r] = partner
+        right = [(j, y) for j, y in enumerate(partner) if y]
+        for i, x in enumerate(row):
+            if x:
+                for j, y in right:
+                    terms.setdefault((i, j), []).append(x * y)
+    residual = max((abs(fsum(terms.get(key, ())) - sigma.get(key, 0.0))
+                    for key in terms.keys() | sigma.keys()), default=0.0)
     if residual > tolerance:
         raise SplitToleranceError(
             f"split residual {residual:.3e} exceeds tolerance {tolerance:.3e}")
-    return PowerSplit(tuple(tuple(float(v) for v in row) for row in t),
-                      p, residual, tolerance)
+    return PowerSplit(tuple(tuple(row) for row in rows), p, residual, tolerance)
 
 
 def two_point_form(structure: BoundaryStructure,

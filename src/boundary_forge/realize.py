@@ -79,6 +79,7 @@ from .lagrange import LagrangeBoundary
 from .twovar import _j_matrix
 
 __all__ = [
+    "SwapIndexError",
     "UnsolvableError",
     "NonUniqueSolutionError",
     "NoneFoundError",
@@ -89,6 +90,10 @@ __all__ = [
     "partition_search",
     "verify_realization_structure",
 ]
+
+
+class SwapIndexError(ValueError):
+    """A requested swap names a port outside 1..m."""
 
 
 class UnsolvableError(ValueError):
@@ -198,7 +203,7 @@ def _validate_swap(swap, m: int) -> tuple[int, ...]:
     swap = tuple(sorted(set(int(i) for i in swap)))
     for i in swap:
         if not 1 <= i <= m:
-            raise ValueError(f"swap index {i} outside 1..{m}")
+            raise SwapIndexError(f"swap index {i} outside 1..{m}")
     return swap
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from boundary_forge import cli as cli_module
+from boundary_forge.algebra import InconsistentSystemError
 from boundary_forge.cli import (
     CONVENTION_NOTE,
     SCHEMA_VERSION,
@@ -326,8 +328,21 @@ def test_main_option_validation(tmp_path, capsys):
     assert main(["verify", ok, "--interval", "2", "1"]) == 2
     assert main(["verify", ok, "--tolerance", "-1"]) == 2
     assert main(["realize", ok, "--swap", "x"]) == 2
+    assert main(["realize", ok, "--swap", "3"]) == 2
     assert main(["frobnicate", ok]) == 2
     capsys.readouterr()
+
+
+def test_library_error_is_not_reported_as_malformed_input(tmp_path,
+                                                          monkeypatch):
+    # an error that escapes a section is a defect of the program, not a
+    # usage error, so it must not exit 2 as "error: ..."
+    def broken_suite(*args, **kwargs):
+        raise InconsistentSystemError("system has no solution")
+
+    monkeypatch.setattr(cli_module, "dirac_suite", broken_suite)
+    with pytest.raises(InconsistentSystemError):
+        main(["verify", write_problem(tmp_path, COUPLING)])
 
 
 def test_main_swap_option(tmp_path, capsys):
@@ -402,11 +417,16 @@ def test_bad_entry_error_is_one_short_line(tmp_path, capsys, entry, where):
 
 
 TINY_TOLERANCE_WITNESS = "exceeds tolerance 1.000e-300"
+# sqrt(3)^2 rounds, so the split of this pairing has a nonzero residual
+ROUNDING = {
+    "kind": "skew_adjoint",
+    "J": [[["0"], ["0", "3"]], [["0", "3"], ["0"]]],
+}
 
 
 @pytest.mark.parametrize("subcommand", ["split", "verify", "report"])
 def test_tolerance_below_roundoff_is_reported(tmp_path, capsys, subcommand):
-    ok = write_problem(tmp_path, COUPLING)
+    ok = write_problem(tmp_path, ROUNDING)
     args = [subcommand, ok, "--trials", "2", "--tolerance", "1e-300"]
     assert main(args + ["--format", "structured"]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -424,7 +444,7 @@ def test_tolerance_below_roundoff_is_reported(tmp_path, capsys, subcommand):
 
 
 def test_settings_tolerance_below_roundoff_is_reported(tmp_path, capsys):
-    data = dict(COUPLING, settings={"tolerance": 1e-300})
+    data = dict(ROUNDING, settings={"tolerance": 1e-300})
     assert main(["report", write_problem(tmp_path, data), "--trials", "2"]) == 1
     assert TINY_TOLERANCE_WITNESS in capsys.readouterr().out
 

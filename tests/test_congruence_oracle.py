@@ -9,8 +9,9 @@ depend on skipped zero terms, so both must equal the code they replaced,
 kept in `tests/oracles.py` as `skew_congruence_full_update` and
 `congruence_reduce_full_update`.
 
-The counting test pins the work saved with no wall clock, on the skew
-pairing of the storage pair (s^2 I_m, I_m).
+The counting tests pin the work saved with no wall clock, on the skew
+pairing of the storage pair (s^2 I_m, I_m) and on a direct sum of
+hyperbolic blocks.
 """
 
 from hypothesis import given, settings
@@ -69,3 +70,15 @@ def test_skew_congruence_work_grows_quadratically(monkeypatch):
     assert counts[1] <= 4 * counts[0]
     assert counts[2] <= 4 * counts[1]
 
+
+
+def test_hyperbolic_step_divides_only_for_nonzero_pairings(monkeypatch):
+    s = RatMatrix.block_diag([RatMatrix.from_rows([[0, 1], [1, 0]])] * 10)
+    ops = count_fraction_arithmetic(monkeypatch)
+    inertia, _, reduced = _congruence_reduce(s)
+    monkeypatch.undo()
+    assert inertia.as_tuple() == (10, 10, 0)
+    assert reduced == s
+    # no later column pairs with a pivot block; two divisions for each of
+    # them would be 180
+    assert ops["__truediv__"] + ops["__rtruediv__"] == 0

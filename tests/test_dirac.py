@@ -159,7 +159,8 @@ def test_canonical_split_rejects_singular_input():
 
 
 def test_canonical_split_respects_tolerance():
-    sigma = RatMatrix.from_rows([[0, 1], [1, 0]])
+    # sqrt(3)^2 rounds; a split of [[0, 1], [1, 0]] is exact
+    sigma = RatMatrix.from_rows([[0, 3], [3, 0]])
     with pytest.raises(SplitToleranceError):
         canonical_power_split(sigma, tolerance=1e-300)
 

@@ -5,11 +5,13 @@ subcommands below on each `problems/*.json`, with every `elapsed` field
 removed.  Any change to Z, Sigma, inertia, A-D, witnesses, residuals,
 instance descriptions or exit statuses shows up here as a mismatch.
 
-Floats (the split matrix `T`, split residuals and deviations) come from a
-floating-point eigendecomposition, so they are compared with a relative
-tolerance of 1e-12; values at roundoff level (below 1e-15 in magnitude)
-depend on the linear-algebra library, so they are compared absolutely at
-that level.  Everything else is compared exactly, types included.
+Floats (the split matrix `T`, split residuals and deviations) are read
+off the exact congruence with `math.sqrt`, one correctly rounded step per
+entry, but the trial deviations add floats with the built-in `sum`, whose
+rounding differs between Python versions.  So floats are compared with a
+relative tolerance of 1e-12, and values at roundoff level (below 1e-15 in
+magnitude) absolutely at that level.  Everything else is compared exactly,
+types included.
 
 Regenerate (only when an output change is intended) with
 

@@ -1,8 +1,11 @@
-"""The package must not load a test-only dependency at run time.
+"""The package must not load a test-only dependency, or `numpy`, at run
+time.
 
 `sympy`, `hypothesis` and `scipy` serve the oracles and the property tests
 only.  A fresh interpreter that imports the CLI (and with it the whole
-package) must leave all three out of `sys.modules`.
+package) must leave all three out of `sys.modules`.  The package has no
+runtime dependency at all: its one float step, the power split, needs
+only `math`, so `numpy` must stay out as well.
 """
 
 import os
@@ -12,12 +15,19 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 TEST_ONLY = ("sympy", "hypothesis", "scipy")
-PROBE = f"""
+
+
+def probe(names) -> str:
+    """Source that imports the CLI and prints which of `names` it loaded."""
+    return f"""
 import sys
 import boundary_forge.cli
-print(sorted(name for name in {TEST_ONLY!r}
+print(sorted(name for name in {tuple(names)!r}
              if any(m == name or m.startswith(name + ".") for m in sys.modules)))
 """
+
+
+PROBE = probe(TEST_ONLY)
 
 
 def loaded_after(source: str) -> str:
@@ -36,3 +46,7 @@ def test_cli_import_loads_no_test_only_dependency():
 
 def test_probe_sees_a_loaded_dependency():
     assert loaded_after("import hypothesis\n" + PROBE) == "['hypothesis']"
+
+
+def test_cli_import_loads_no_numpy():
+    assert loaded_after(probe(("numpy",))) == "[]"
