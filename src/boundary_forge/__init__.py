@@ -32,12 +32,10 @@ from .twovar import (
     DimensionMismatchError,
     NotDivisibleError,
     TwoVarPolyMatrix,
-    bdf_apply,
     div_zeta_plus_eta,
     factor_general,
     factor_skew,
     factor_symmetric,
-    mul_zeta_plus_eta,
 )
 from .dirac import (
     DEFAULT_SPLIT_TOLERANCE,

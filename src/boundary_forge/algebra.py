@@ -268,12 +268,6 @@ class Poly:
         """Substitute ``s -> -s``."""
         return Poly(tuple(-c if k % 2 else c for k, c in enumerate(self.coeffs)))
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise AllZeroError("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
-        return Poly(tuple(c / lead for c in self.coeffs))
-
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -337,17 +331,6 @@ def _add_product(acc: list, xs, ys, zero=_ZERO) -> None:
                 acc[i + j] += a * b
 
 
-def _dot(u, v) -> Poly:
-    """Sum of the entrywise products of two sequences, as one polynomial
-    built from one coefficient list; pairs with a zero entry add nothing."""
-    acc = []
-    for x, y in zip(u, v):
-        xs = _as_poly(x).coeffs
-        if xs:
-            _add_product(acc, xs, _as_poly(y).coeffs)
-    return Poly(acc)
-
-
 def _derivatives(vec, depth: int) -> list[list[Poly]]:
     """Each entry of `vec` as a polynomial, with its first `depth`
     derivatives."""
@@ -363,10 +346,10 @@ def _derivatives(vec, depth: int) -> list[list[Poly]]:
 # integer trial arithmetic ----------------------------------------------------
 #
 # The randomized balance checks run on integers over one common denominator
-# (Knuth, TAOCP vol. 2, 4.6.1): each operator, the middle matrix and each
-# drawn trajectory is scaled once by the lcm of its denominators, every
-# apply, dot, integral and endpoint evaluation stays in `int`, and each
-# residual becomes one `Fraction`.
+# (Knuth, TAOCP vol. 2, 4.6.1): each operator and the middle matrix is
+# scaled once by the lcm of its denominators, each trajectory is drawn as
+# integers over one denominator, every apply, dot, integral and endpoint
+# evaluation stays in `int`, and each residual becomes one `Fraction`.
 
 
 def _common_denominator(values) -> int:
@@ -386,6 +369,25 @@ def _int_vector(vec) -> tuple[list[list[int]], int]:
     coeffs = [_as_poly(v).coeffs for v in vec]
     den = _common_denominator(c for cs in coeffs for c in cs)
     return [_scaled(cs, den) for cs in coeffs], den
+
+
+def _poly_vector(xs, den: int) -> tuple[Poly, ...]:
+    """The polynomials of the integer coefficient lists `xs` over `den`:
+    the inverse of :func:`_int_vector`."""
+    return tuple(Poly([Fraction(c, den) for c in cs]) for cs in xs)
+
+
+def _int_derivatives(xs, depth: int) -> list[list[list[int]]]:
+    """Each integer coefficient list of `xs` with its first `depth`
+    derivatives."""
+    table = []
+    for cs in xs:
+        ds = [cs]
+        for _ in range(depth):
+            cs = [k * c for k, c in enumerate(cs) if k]
+            ds.append(cs)
+        table.append(ds)
+    return table
 
 
 def _int_dot(u, v) -> list[int]:
@@ -487,19 +489,14 @@ class _Balance:
         self.sign = sign
 
     def evaluate(self, latent) -> tuple:
-        """``(u, v, w, den)`` of one latent: the integer coefficient lists
-        of its three images, which are ``u / (U.den * den)`` and so on, and
-        the latent's own common denominator ``den``."""
-        if len(latent) != self.cols:
+        """``(u, v, w, den)`` of one latent ``(xs, den)``, integer
+        coefficient lists over one positive denominator (`_int_vector`):
+        the integer coefficient lists of its three images, which are
+        ``u / (U.den * den)`` and so on, and the latent's ``den``."""
+        xs, den = latent
+        if len(xs) != self.cols:
             raise ValueError("vector length does not match column count")
-        xs, den = _int_vector(latent)
-        derivs = []
-        for cs in xs:
-            ds = [cs]
-            for _ in range(self.depth):
-                cs = [k * c for k, c in enumerate(cs) if k]
-                ds.append(cs)
-            derivs.append(ds)
+        derivs = _int_derivatives(xs, self.depth)
         return self.u.apply(derivs), self.v.apply(derivs), self.w.apply(derivs), den
 
     def interior(self, integrand: list[int], den: int, alpha, beta

@@ -25,11 +25,13 @@ solutions.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Poly, PolyMatrix, RatMatrix, _Balance, _dot,
+from .algebra import (Poly, PolyMatrix, RatMatrix, _add_product, _Balance,
+                      _int_derivatives, _int_vector, _IntOperator, _poly_vector,
                       polynomial_kernel_basis)
 from .dirac import BoundaryStructure, _skew_adjoint_boundary, validate_skew_adjoint
 from .twovar import TwoVarPolyMatrix, div_zeta_plus_eta, factor_general
@@ -136,12 +138,37 @@ class ConstrainedSample:
     seed: int
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+def _random_int_vector(rng: random.Random, dim: int, degree: int
+                       ) -> tuple[list[list[int]], int]:
+    """`dim` random polynomials of degree at most `degree` as integer
+    coefficient lists (low degree first, no trailing zeros) over the lcm of
+    the drawn denominators.  Each coefficient is ``n / d`` with ``n`` drawn
+    from [-9, 9], then ``d`` from [1, 9]."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    randint = rng.randint
+    draws = [[(randint(-9, 9), randint(1, 9)) for _ in range(degree + 1)]
+             for _ in range(dim)]
+    den = math.lcm(*(d for row in draws for _, d in row))
+    xs = []
+    for row in draws:
+        cs = [n * (den // d) for n, d in row]
+        while cs and not cs[-1]:
+            cs.pop()
+        xs.append(cs)
+    return xs, den
 
 
-def _random_poly(rng: random.Random, degree: int) -> Poly:
-    return Poly([_random_fraction(rng) for _ in range(degree + 1)])
+def _int_basis(basis) -> tuple[list[list[list[int]]], int]:
+    """A kernel basis as integer vectors over one denominator."""
+    flat, den = _int_vector([e for vec in basis for e in vec])
+    m = len(basis[0]) if basis else 0
+    return [flat[b * m:(b + 1) * m] for b in range(len(basis))], den
+
+
+def _flow_operator(structure: ConstrainedStructure) -> _IntOperator:
+    """[J G_adj], which takes (e; lam) to the flow f, as an integer operator."""
+    return _IntOperator(PolyMatrix.hstack([structure.J, structure.G_adj]))
 
 
 def constrained_sample(structure: ConstrainedStructure, degree: int, seed: int,
@@ -154,42 +181,46 @@ def constrained_sample(structure: ConstrainedStructure, degree: int, seed: int,
     ``kernel_empty`` (or raises :class:`EmptyKernelError` when a nonzero
     effort was required).
     """
-    return _constrained_sample(structure, polynomial_kernel_basis(
-        structure.G, degree), degree, seed, require_nonzero_e)
-
-
-def _constrained_sample(structure: ConstrainedStructure, basis, degree: int,
-                        seed: int, require_nonzero_e: bool = False
-                        ) -> ConstrainedSample:
-    """:func:`constrained_sample` with the kernel basis at this degree."""
-    rng = random.Random(seed)
+    basis = polynomial_kernel_basis(structure.G, degree)
+    latent = _poly_vector(*_constrained_sample(
+        structure, _flow_operator(structure), _int_basis(basis), degree, seed,
+        require_nonzero_e))
     m = structure.m
-    if not basis:
+    return ConstrainedSample(latent[:m], latent[2 * m:], latent[m:2 * m],
+                             not basis, degree, seed)
+
+
+def _constrained_sample(structure: ConstrainedStructure, flow: _IntOperator,
+                        basis, degree: int, seed: int,
+                        require_nonzero_e: bool = False
+                        ) -> tuple[list[list[int]], int]:
+    """The latent (e; f; lam) of :func:`constrained_sample` as integer
+    coefficient lists over one denominator, given the kernel basis at this
+    degree (`_int_basis`) and the `_flow_operator`."""
+    rng = random.Random(seed)
+    vectors, den = basis
+    effort = [[] for _ in range(structure.m)]
+    if not vectors:
         if require_nonzero_e:
             raise EmptyKernelError(
                 f"G(d/dz) e = 0 has no nonzero polynomial solution of degree "
                 f"<= {degree}")
-        effort = tuple(Poly.zero() for _ in range(m))
-        kernel_empty = True
     else:
-        kernel_empty = False
-        while True:
-            weights = [_random_fraction(rng) for _ in basis]
-            effort = tuple(_dot([vec[j] for vec in basis], weights)
-                           for j in range(m))
-            if any(not c.is_zero for c in effort):
-                break
-    multiplier = tuple(_random_poly(rng, degree)
-                       for _ in range(structure.constraint_rows))
-    j_part = structure.J.apply(effort)
-    g_part = structure.G_adj.apply(multiplier)
-    flow = tuple(a + b for a, b in zip(j_part, g_part))
-    return ConstrainedSample(effort, multiplier, flow, kernel_empty, degree, seed)
-
-
-def _constrained_latent(sample: ConstrainedSample) -> tuple[Poly, ...]:
-    """The latent (e; f; lam) of one constrained sample."""
-    return sample.effort + sample.flow + sample.multiplier
+        while not any(any(cs) for cs in effort):
+            weights, weight_den = _random_int_vector(rng, len(vectors), 0)
+            effort = [[] for _ in range(structure.m)]
+            for w, vec in zip(weights, vectors):
+                for acc, cs in zip(effort, vec):
+                    _add_product(acc, w, cs, 0)
+        den *= weight_den
+    multiplier, multiplier_den = _random_int_vector(
+        rng, structure.constraint_rows, degree)
+    common = math.lcm(den, multiplier_den)
+    x = ([[c * (common // den) for c in cs] for cs in effort]
+         + [[c * (common // multiplier_den) for c in cs] for cs in multiplier])
+    f = flow.apply(_int_derivatives(x, flow.span))
+    x = [[c * flow.den for c in cs] for cs in x]
+    return x[:structure.m] + f + x[structure.m:], flow.den * common
 
 
 def _constrained_balance(structure: ConstrainedStructure) -> _Balance:
@@ -227,6 +258,8 @@ def constrained_balance_form(structure: ConstrainedStructure,
     w = (Z_J e; Z_G e; V_G lam) with M = Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]].
     """
     balance = _constrained_balance(structure)
-    return balance.residual(balance.evaluate(_constrained_latent(sample1)),
-                            balance.evaluate(_constrained_latent(sample2)),
-                            Fraction(interval[0]), Fraction(interval[1]))
+    first, second = (balance.evaluate(_int_vector(
+        sample.effort + sample.flow + sample.multiplier))
+        for sample in (sample1, sample2))
+    return balance.residual(first, second, Fraction(interval[0]),
+                            Fraction(interval[1]))

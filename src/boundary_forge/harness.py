@@ -22,11 +22,15 @@ The Dirac suite adds the power balance (the Dirac balance of a latent with
 itself, halved) on each trial's first latent.
 
 The trials run on integers over one common denominator: the balance turns
-its operators and the nonzero entries of M into integers once, each drawn
-latent is scaled by the lcm of its denominators, and every apply, dot,
-integral and endpoint evaluation stays in `int`.  Each residual becomes
-one `Fraction`; the split's floats are correctly rounded quotients of the
-same integers.
+its operators and the nonzero entries of M into integers once, and every
+apply, dot, integral and endpoint evaluation stays in `int`.  The draws are
+integers too: each latent is drawn as integer coefficient lists over the
+lcm of its drawn denominators, and each constrained sample is formed from
+integer kernel vectors (one set per degree) and the integer operator
+[J G_adj].  The `randint` calls and their order are those of the public
+`random_latent` and `constrained_sample`, which turn the same draws into
+polynomials.  Each residual becomes one `Fraction`; the split's floats are
+correctly rounded quotients of the same integers.
 """
 
 from __future__ import annotations
@@ -36,15 +40,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Poly, _Balance, _difference, _int_dot,
+from .algebra import (Poly, _Balance, _difference, _int_dot, _poly_vector,
                       polynomial_kernel_basis)
 from .constrained import (
     ConstrainedStructure,
     _constrained_balance,
-    _constrained_latent,
     _constrained_sample,
-    _random_fraction,
-    _random_poly,
+    _flow_operator,
+    _int_basis,
+    _random_int_vector,
 )
 from .dirac import (
     DEFAULT_SPLIT_TOLERANCE,
@@ -128,7 +132,8 @@ class VerificationReport:
 
 def _random_interval(rng: random.Random) -> tuple[Fraction, Fraction]:
     while True:
-        a, b = _random_fraction(rng), _random_fraction(rng)
+        a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(2))
         if a != b:
             return (a, b) if a < b else (b, a)
 
@@ -136,10 +141,8 @@ def _random_interval(rng: random.Random) -> tuple[Fraction, Fraction]:
 def random_latent(seed, dim: int, degree: int) -> Trajectory:
     """Deterministic random trajectory: coefficients with numerators in
     [-9, 9] and denominators in [1, 9], plus a random rational interval."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
     rng = random.Random(seed)
-    l = tuple(_random_poly(rng, degree) for _ in range(dim))
+    l = _poly_vector(*_random_int_vector(rng, dim, degree))
     alpha, beta = _random_interval(rng)
     return Trajectory(l, alpha, beta)
 
@@ -219,34 +222,37 @@ def _sub_seed(seed: int, trial: int, salt: int) -> int:
 
 
 def _latent_trials(m: int, trials: int, degrees, seed: int, interval):
-    """Per trial, two random latents and the interval: the given one, or
-    else the random interval drawn with the first latent."""
+    """Per trial, two random integer latents (`_random_int_vector`) and the
+    interval: the given one, or else the random interval drawn with the
+    first latent."""
+    given = None if interval is None else (Fraction(interval[0]),
+                                           Fraction(interval[1]))
     for t, degree in enumerate(_trial_degrees(trials, degrees)):
-        t1 = random_latent(_sub_seed(seed, t, 0), m, degree)
-        t2 = random_latent(_sub_seed(seed, t, 1), m, degree)
-        if interval is None:
-            yield t1.l, t2.l, t1.alpha, t1.beta
-        else:
-            yield t1.l, t2.l, Fraction(interval[0]), Fraction(interval[1])
+        rng = random.Random(_sub_seed(seed, t, 0))
+        first = _random_int_vector(rng, m, degree)
+        alpha, beta = given or _random_interval(rng)
+        second = _random_int_vector(random.Random(_sub_seed(seed, t, 1)), m,
+                                    degree)
+        yield first, second, alpha, beta
 
 
 def _constrained_trials(structure: ConstrainedStructure, trials: int,
                         degrees, seed: int, interval):
-    """Per trial, the latents (e; f; lam) of two random constrained
+    """Per trial, the integer latents (e; f; lam) of two random constrained
     solutions and the interval: the given one, or else one drawn from the
     third sub-seed."""
     trial_degrees = _trial_degrees(trials, degrees)
-    bases = {d: polynomial_kernel_basis(structure.G, d)
+    bases = {d: _int_basis(polynomial_kernel_basis(structure.G, d))
              for d in dict.fromkeys(trial_degrees)}
+    flow = _flow_operator(structure)
+    given = None if interval is None else (Fraction(interval[0]),
+                                           Fraction(interval[1]))
     for t, degree in enumerate(trial_degrees):
-        basis = bases[degree]
-        s1 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 0))
-        s2 = _constrained_sample(structure, basis, degree, _sub_seed(seed, t, 1))
-        l1, l2 = _constrained_latent(s1), _constrained_latent(s2)
-        if interval is None:
-            yield l1, l2, *_random_interval(random.Random(_sub_seed(seed, t, 2)))
-        else:
-            yield l1, l2, Fraction(interval[0]), Fraction(interval[1])
+        x1, x2 = (_constrained_sample(structure, flow, bases[degree],
+                                      degree, _sub_seed(seed, t, salt))
+                  for salt in (0, 1))
+        yield x1, x2, *(given or _random_interval(
+            random.Random(_sub_seed(seed, t, 2))))
 
 
 def _balance_trials(draws, balance: _Balance):

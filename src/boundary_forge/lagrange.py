@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, PolyMatrix, _Balance, full_rank_everywhere
+from .algebra import Poly, PolyMatrix, _Balance, _int_vector, full_rank_everywhere
 from .dirac import ConditionReport, _condition_reports
 from .twovar import TwoVarPolyMatrix, _j_matrix, div_zeta_plus_eta, factor_skew
 
@@ -115,11 +115,6 @@ class LagrangeBoundary:
     def boundary(self, latent) -> tuple[Poly, ...]:
         return self.W.apply(latent)
 
-    def split_boundary(self, latent) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-        """Boundary vector split as (x_delta, e_delta) by the J_p blocks."""
-        w = self.boundary(latent)
-        return w[:self.p], w[self.p:]
-
     def describe(self) -> str:
         return f"{self.pair.describe()} p={self.p}"
 
@@ -188,5 +183,6 @@ def storage_balance_form(boundary: LagrangeBoundary, latent1, latent2, alpha, be
     bracket is w1^T J_p w2, so the middle of the balance is -J_p.
     """
     balance = _storage_balance(boundary)
-    return balance.residual(balance.evaluate(latent1), balance.evaluate(latent2),
+    return balance.residual(balance.evaluate(_int_vector(latent1)),
+                            balance.evaluate(_int_vector(latent2)),
                             Fraction(alpha), Fraction(beta))

@@ -28,7 +28,7 @@ J_p = [[0, I_p], [-I_p, 0]].  Everything here is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .algebra import (
     NotSkewError,
@@ -38,7 +38,6 @@ from .algebra import (
     RatMatrix,
     _ZERO,
     _congruence_reduce,
-    _derivatives,
     rank_factorization,
     skew_canonical_congruence,
 )
@@ -47,8 +46,6 @@ __all__ = [
     "TwoVarPolyMatrix",
     "DimensionMismatchError",
     "NotDivisibleError",
-    "bdf_apply",
-    "mul_zeta_plus_eta",
     "div_zeta_plus_eta",
     "factor_general",
     "factor_symmetric",
@@ -241,34 +238,6 @@ def _add_into(grid, entries, row_shift: int, col_shift: int) -> None:
         for c, v in enumerate(row):
             if v:
                 target[c + col_shift] += v
-
-
-def bdf_apply(phi: TwoVarPolyMatrix, v: Sequence[Poly], w: Sequence[Poly]) -> Poly:
-    """Evaluate the bilinear differential operator of `phi` on polynomial
-    vector functions v (length p) and w (length q)."""
-    if len(v) != phi.p or len(w) != phi.q:
-        raise DimensionMismatchError(
-            f"expected vectors of length {phi.p} and {phi.q}, got {len(v)} and {len(w)}")
-    dv = _derivatives(v, phi.window)
-    dw = _derivatives(w, phi.window)
-    total = Poly.zero()
-    for r, row in enumerate(phi.mat.entries):
-        k, i = divmod(r, phi.p)
-        for c, coeff in enumerate(row):
-            if coeff:
-                l, j = divmod(c, phi.q)
-                total = total + coeff * (dv[i][k] * dw[j][l])
-    return total
-
-
-def mul_zeta_plus_eta(phi: TwoVarPolyMatrix) -> TwoVarPolyMatrix:
-    """(zeta + eta) * Phi: the coefficient matrix shifted down one block
-    plus the one shifted right one block."""
-    window = phi.window + 1
-    grid = _grid((), phi.p, phi.q, window)
-    _add_into(grid, phi.mat.entries, phi.p, 0)
-    _add_into(grid, phi.mat.entries, 0, phi.q)
-    return TwoVarPolyMatrix._of(phi.p, phi.q, window, grid)
 
 
 def div_zeta_plus_eta(phi: TwoVarPolyMatrix) -> TwoVarPolyMatrix:

@@ -29,12 +29,14 @@ block.
 
 `derivative_rule_check`, `concatenation_compatible`, `integrate_pairing`,
 `check_dirac_form` and `check_power_balance` were public functions of the
-package with no caller outside the tests.
+package with no caller outside the tests, and so were `bdf_apply`,
+`mul_zeta_plus_eta`, `monic` (`Poly.monic`), `split_boundary`
+(`LagrangeBoundary.split_boundary`) and `poly_dot` (`algebra._dot`).
 
 `dense_matmul`, `dense_apply` and `dense_dot` are `_Matrix.__mul__`,
-`PolyMatrix.apply` and `algebra._dot` as they were before they visited
+`PolyMatrix.apply` and `poly_dot` as they were before they visited
 only nonzero entries: every product of every row-column sum, zeros
-included, and a new polynomial for every term of `apply` and `_dot`.
+included, and a new polynomial for every term of `apply` and `poly_dot`.
 
 `skew_congruence_full_update` and `congruence_reduce_full_update` are
 `skew_canonical_congruence` and `algebra._congruence_reduce` as they were
@@ -48,9 +50,17 @@ integral and endpoint evaluation in `Fraction`s, with the middle matrix
 scanned entry by entry.  `dirac_triple`, `storage_triple` and
 `constrained_triple` build their (u, v, w) triples, and `storage_middle`
 and `constrained_middle` their middle matrices.
+
+`fraction_random_latent` and `fraction_constrained_sample` are
+`random_latent` and the constrained sample as they were drawn before the
+trials drew integers: every coefficient a `Fraction`, every latent a tuple
+of `Poly`s, and the sample's effort and flow formed with `poly_dot` and two
+`PolyMatrix.apply` calls.  `poly_latent` turns an integer latent of the
+trials into its polynomials.
 """
 
 import itertools
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -59,6 +69,7 @@ from boundary_forge import (
     AllZeroError,
     BoundaryStructure,
     DimensionMismatchError,
+    EmptyKernelError,
     InconsistentSystemError,
     Inertia,
     LagrangeBoundary,
@@ -69,8 +80,6 @@ from boundary_forge import (
     TwoVarPolyMatrix,
     UnderdeterminedSystemError,
     VerificationReport,
-    bdf_apply,
-    mul_zeta_plus_eta,
     solve_linear,
 )
 from boundary_forge.realize import (
@@ -83,15 +92,73 @@ from boundary_forge.realize import (
     verify_realization_structure,
 )
 from boundary_forge.algebra import (NotSkewError, NotSymmetricError,
-                                    _derivatives, _dot)
+                                    _add_product, _as_poly, _derivatives,
+                                    _int_vector, _poly_vector)
 from boundary_forge.dirac import DEFAULT_SPLIT_TOLERANCE, SplitToleranceError
 from boundary_forge.harness import (
+    Trajectory,
     _dirac_balance,
     _optional_split,
     _power_trial,
     _single_check,
 )
-from boundary_forge.twovar import _j_matrix
+from boundary_forge.twovar import _add_into, _grid, _j_matrix
+
+
+# moved from the package, which no longer calls them ---------------------------
+
+
+def monic(p: Poly) -> Poly:
+    """`p` divided by its leading coefficient."""
+    if p.is_zero:
+        raise AllZeroError("cannot normalize the zero polynomial")
+    lead = p.coeffs[-1]
+    return Poly(tuple(c / lead for c in p.coeffs))
+
+
+def poly_dot(u, v) -> Poly:
+    """Sum of the entrywise products of two sequences, as one polynomial
+    built from one coefficient list; pairs with a zero entry add nothing."""
+    acc = []
+    for x, y in zip(u, v):
+        xs = _as_poly(x).coeffs
+        if xs:
+            _add_product(acc, xs, _as_poly(y).coeffs)
+    return Poly(acc)
+
+
+def bdf_apply(phi: TwoVarPolyMatrix, v, w) -> Poly:
+    """Evaluate the bilinear differential operator of `phi` on polynomial
+    vector functions v (length p) and w (length q)."""
+    if len(v) != phi.p or len(w) != phi.q:
+        raise DimensionMismatchError(
+            f"expected vectors of length {phi.p} and {phi.q}, got {len(v)} and {len(w)}")
+    dv = _derivatives(v, phi.window)
+    dw = _derivatives(w, phi.window)
+    total = Poly.zero()
+    for r, row in enumerate(phi.mat.entries):
+        k, i = divmod(r, phi.p)
+        for c, coeff in enumerate(row):
+            if coeff:
+                l, j = divmod(c, phi.q)
+                total = total + coeff * (dv[i][k] * dw[j][l])
+    return total
+
+
+def mul_zeta_plus_eta(phi: TwoVarPolyMatrix) -> TwoVarPolyMatrix:
+    """(zeta + eta) * Phi: the coefficient matrix shifted down one block
+    plus the one shifted right one block."""
+    window = phi.window + 1
+    grid = _grid((), phi.p, phi.q, window)
+    _add_into(grid, phi.mat.entries, phi.p, 0)
+    _add_into(grid, phi.mat.entries, 0, phi.q)
+    return TwoVarPolyMatrix._of(phi.p, phi.q, window, grid)
+
+
+def split_boundary(boundary: LagrangeBoundary, latent):
+    """Boundary vector split as (x_delta, e_delta) by the J_p blocks."""
+    w = boundary.boundary(latent)
+    return w[:boundary.p], w[boundary.p:]
 
 
 def poly_gcd(polys) -> Poly:
@@ -111,7 +178,7 @@ def poly_gcd(polys) -> Poly:
         g = a
         if g.degree == 0:
             break
-    return g.monic()
+    return monic(g)
 
 
 def full_rank_by_minors(p: PolyMatrix) -> bool:
@@ -509,7 +576,7 @@ def concatenation_compatible(structure: BoundaryStructure,
 
 def integrate_pairing(f1, e1, f2, e2, alpha, beta) -> Fraction:
     """Exact integral of the symmetric pairing e1^T f2 + e2^T f1."""
-    integrand = _dot(e1, f2) + _dot(e2, f1)
+    integrand = poly_dot(e1, f2) + poly_dot(e2, f1)
     return integrand.integral(Fraction(alpha), Fraction(beta))
 
 
@@ -519,7 +586,8 @@ def check_dirac_form(structure: BoundaryStructure, l1, l2, alpha, beta
     interior pairing integral minus the boundary bracket difference."""
     (report,) = _single_check(
         "dirac_form", structure.describe(), 1,
-        [(l1, l2, Fraction(alpha), Fraction(beta))], _dirac_balance(structure))
+        [(_int_vector(l1), _int_vector(l2), Fraction(alpha), Fraction(beta))],
+        _dirac_balance(structure))
     return report
 
 
@@ -532,7 +600,8 @@ def check_power_balance(structure: BoundaryStructure, l, alpha, beta,
     start = time.perf_counter()
     split = _optional_split(structure, split_tolerance)
     dirac = _dirac_balance(structure)
-    balance, deviation = _power_trial(dirac, split, dirac.evaluate(l),
+    balance, deviation = _power_trial(dirac, split,
+                                      dirac.evaluate(_int_vector(l)),
                                       Fraction(alpha), Fraction(beta))
     return VerificationReport("power_balance", structure.describe(), 1,
                               (balance,), time.perf_counter() - start,
@@ -600,8 +669,8 @@ def fraction_balance_residual(first, second, middle: RatMatrix, alpha, beta,
     """
     u1, v1, w1 = first
     u2, v2, w2 = second
-    interior = _dot(u1, v2)
-    swapped = _dot(u2, v1)
+    interior = poly_dot(u1, v2)
+    swapped = poly_dot(u2, v1)
     interior = interior + swapped if sign > 0 else interior - swapped
     return interior.integral(alpha, beta) - _bracket_difference(
         w1, w2, middle, alpha, beta)
@@ -664,7 +733,7 @@ def fraction_power_trial(structure: BoundaryStructure, split, latent, alpha,
     too.
     """
     e, f, b = latent
-    total = _dot(e, f).integral(alpha, beta)
+    total = poly_dot(e, f).integral(alpha, beta)
     balance = total - _bracket_difference(b, b, structure.Sigma,
                                           alpha, beta) / 2
     if split is None:
@@ -684,3 +753,59 @@ def fraction_power_trial(structure: BoundaryStructure, split, latent, alpha,
             "of the split") from None
     scale = max(1.0, abs(interior), abs(at_beta), abs(at_alpha))
     return balance, abs(interior - (at_beta - at_alpha)) / scale
+
+
+# the Fraction draws ------------------------------------------------------------
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _random_poly(rng: random.Random, degree: int) -> Poly:
+    return Poly([_random_fraction(rng) for _ in range(degree + 1)])
+
+
+def fraction_random_latent(seed, dim: int, degree: int) -> Trajectory:
+    """Deterministic random trajectory: coefficients with numerators in
+    [-9, 9] and denominators in [1, 9], plus a random rational interval."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    rng = random.Random(seed)
+    l = tuple(_random_poly(rng, degree) for _ in range(dim))
+    while True:
+        a, b = _random_fraction(rng), _random_fraction(rng)
+        if a != b:
+            return Trajectory(l, *((a, b) if a < b else (b, a)))
+
+
+def fraction_constrained_sample(structure, basis, degree: int, seed: int,
+                                require_nonzero_e: bool = False):
+    """(effort, multiplier, flow) of a constrained sample drawn with the
+    kernel basis at this degree."""
+    rng = random.Random(seed)
+    m = structure.m
+    if not basis:
+        if require_nonzero_e:
+            raise EmptyKernelError(
+                f"G(d/dz) e = 0 has no nonzero polynomial solution of degree "
+                f"<= {degree}")
+        effort = tuple(Poly.zero() for _ in range(m))
+    else:
+        while True:
+            weights = [_random_fraction(rng) for _ in basis]
+            effort = tuple(poly_dot([vec[j] for vec in basis], weights)
+                           for j in range(m))
+            if any(not c.is_zero for c in effort):
+                break
+    multiplier = tuple(_random_poly(rng, degree)
+                       for _ in range(structure.constraint_rows))
+    j_part = structure.J.apply(effort)
+    g_part = structure.G_adj.apply(multiplier)
+    flow = tuple(a + b for a, b in zip(j_part, g_part))
+    return effort, multiplier, flow
+
+
+def poly_latent(latent) -> tuple[Poly, ...]:
+    """The polynomials of an integer latent ``(xs, den)`` of the trials."""
+    return _poly_vector(*latent)

@@ -25,8 +25,6 @@ from boundary_forge import (
     inertia_congruence,
     lagrange_boundary,
     lagrange_suite,
-    mul_zeta_plus_eta,
-    bdf_apply,
     constrained_balance_form,
     storage_balance_form,
     realize,
@@ -44,6 +42,7 @@ from instances import (
     pm,
     random_unimodular,
 )
+from oracles import bdf_apply, mul_zeta_plus_eta
 
 s = Poly.variable()
 

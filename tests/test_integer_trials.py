@@ -11,9 +11,12 @@ tests, scaled by a rational so that they carry denominators; perturbed
 middle matrices make the residuals nonzero, where equality says more than
 two zeros do.
 
-The counting tests pin the work saved with no wall clock: the trial loop
-does no `Fraction` arithmetic at all, whatever the number of trials or the
-trajectory degree.
+The counting tests pin the work saved with no wall clock: the trial loops
+of all three suites do no `Fraction` arithmetic and build no `Poly` at all,
+whatever the number of trials or the trajectory degree, because latents
+and constrained samples are drawn as integers.  Tests that compare with
+the `Fraction` oracles turn a drawn latent into polynomials with
+`oracles.poly_latent`.
 """
 
 import dataclasses
@@ -28,6 +31,7 @@ from boundary_forge import (
     boundary_structure,
     constrained_boundary,
     constrained_sample,
+    constrained_suite,
     dirac_suite,
     lagrange_boundary,
     lagrange_suite,
@@ -35,7 +39,7 @@ from boundary_forge import (
     validate_dirac_pair,
     validate_lagrange_pair,
 )
-from boundary_forge.algebra import PolyMatrix, _Balance
+from boundary_forge.algebra import Poly, PolyMatrix, _Balance
 from boundary_forge.constrained import constrained_balance_form
 from boundary_forge.dirac import DEFAULT_SPLIT_TOLERANCE
 from boundary_forge.harness import (
@@ -53,6 +57,7 @@ from oracles import (
     dirac_triple,
     fraction_balance_residual,
     fraction_power_trial,
+    poly_latent,
     storage_middle,
     storage_triple,
 )
@@ -85,9 +90,10 @@ def test_dirac_trials_equal_fraction_oracle(J, scale, seed):
                                                Sigma=structure.Sigma * 2)):
         split = _optional_split(st_, DEFAULT_SPLIT_TOLERANCE)
         dirac = _dirac_balance(st_)
-        for l1, l2, a, b in _latent_trials(st_.rep.m, 3, (0, 2, 5), seed, None):
-            first = dirac.evaluate(l1)
-            assert dirac.residual(first, dirac.evaluate(l2), a, b) == (
+        for x1, x2, a, b in _latent_trials(st_.rep.m, 3, (0, 2, 5), seed, None):
+            l1, l2 = poly_latent(x1), poly_latent(x2)
+            first = dirac.evaluate(x1)
+            assert dirac.residual(first, dirac.evaluate(x2), a, b) == (
                 fraction_balance_residual(dirac_triple(st_, l1),
                                           dirac_triple(st_, l2), st_.Sigma,
                                           a, b))
@@ -104,7 +110,8 @@ def test_lagrange_trials_equal_fraction_oracle(S, scale, seed, data):
     middles = [storage_middle(boundary)]
     if boundary.W.rows:
         middles.append(middles[0] + data.draw(perturbations(boundary.W.rows)))
-    for l1, l2, a, b in _latent_trials(boundary.m, 3, (0, 2, 5), seed, None):
+    for x1, x2, a, b in _latent_trials(boundary.m, 3, (0, 2, 5), seed, None):
+        l1, l2 = poly_latent(x1), poly_latent(x2)
         want = [fraction_balance_residual(storage_triple(boundary, l1),
                                           storage_triple(boundary, l2),
                                           middle, a, b, sign=-1)
@@ -113,7 +120,7 @@ def test_lagrange_trials_equal_fraction_oracle(S, scale, seed, data):
         rep = boundary.rep
         for middle, residual in zip(middles, want):
             balance = _Balance(rep.N_x, rep.N_e, boundary.W, middle, sign=-1)
-            assert balance.residual(balance.evaluate(l1), balance.evaluate(l2),
+            assert balance.residual(balance.evaluate(x1), balance.evaluate(x2),
                                     a, b) == residual
 
 
@@ -147,8 +154,9 @@ def test_perturbed_middles_give_nonzero_residuals():
         structure = boundary_structure(validate_dirac_pair(inst["F"], inst["E"]))
         st_ = dataclasses.replace(structure, Sigma=structure.Sigma * 2)
         dirac = _dirac_balance(st_)
-        for l1, l2, a, b in _latent_trials(st_.rep.m, 3, (2,), 1, None):
-            got = dirac.residual(dirac.evaluate(l1), dirac.evaluate(l2), a, b)
+        for x1, x2, a, b in _latent_trials(st_.rep.m, 3, (2,), 1, None):
+            l1, l2 = poly_latent(x1), poly_latent(x2)
+            got = dirac.residual(dirac.evaluate(x1), dirac.evaluate(x2), a, b)
             assert got == fraction_balance_residual(
                 dirac_triple(st_, l1), dirac_triple(st_, l2), st_.Sigma, a, b)
             nonzero["dirac"] += got != 0
@@ -157,8 +165,9 @@ def test_perturbed_middles_give_nonzero_residuals():
         middle = storage_middle(boundary) * 2
         rep = boundary.rep
         balance = _Balance(rep.N_x, rep.N_e, boundary.W, middle, sign=-1)
-        for l1, l2, a, b in _latent_trials(boundary.m, 3, (2,), 1, None):
-            got = balance.residual(balance.evaluate(l1), balance.evaluate(l2),
+        for x1, x2, a, b in _latent_trials(boundary.m, 3, (2,), 1, None):
+            l1, l2 = poly_latent(x1), poly_latent(x2)
+            got = balance.residual(balance.evaluate(x1), balance.evaluate(x2),
                                    a, b)
             assert got == fraction_balance_residual(
                 storage_triple(boundary, l1), storage_triple(boundary, l2),
@@ -197,30 +206,70 @@ def count_fraction_arithmetic(monkeypatch) -> Counter:
     return counts
 
 
-def _suite_counts(monkeypatch, run) -> list[int]:
-    """`Fraction` operations of `run(trials)` for 3 and 12 trials."""
+def count_poly_constructions(monkeypatch) -> Counter:
+    """Count `Poly` constructions from here on."""
+    counts = Counter()
+
+    def counted(self, coeffs=(), _original=Poly.__init__):
+        counts["Poly"] += 1
+        _original(self, coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    return counts
+
+
+def _suite_counts(monkeypatch, run, count=count_fraction_arithmetic
+                  ) -> list[int]:
+    """Operations counted by `count` in `run(trials)` for 3 and 12 trials."""
     out = []
     for trials in (3, 12):
-        counts = count_fraction_arithmetic(monkeypatch)
+        counts = count(monkeypatch)
         run(trials)
         out.append(sum(counts.values()))
         monkeypatch.undo()
     return out
 
 
-def test_trial_loops_do_no_fraction_arithmetic(monkeypatch):
+def _suite_runs():
+    """The three suites on one curated instance each, as functions of the
+    trial count; degrees 0 and 6 both come up in three trials."""
     inst = DIRAC_INSTANCES[-1]
     dirac = boundary_structure(validate_dirac_pair(inst["F"], inst["E"]))
     inst = LAGRANGE_INSTANCES[0]
     lagrange = lagrange_boundary(validate_lagrange_pair(inst["P"], inst["S"]))
-    # the Dirac suite builds its split and balance once, and the Lagrange
-    # suite negates J_p once; the trials add nothing
-    few, many = _suite_counts(monkeypatch, lambda trials: dirac_suite(
-        dirac, trials, degrees=(0, 6), seed=2))
-    assert few == many
-    few, many = _suite_counts(monkeypatch, lambda trials: lagrange_suite(
-        lagrange, trials, degrees=(0, 6), seed=2))
-    assert few == many
+    inst = CONSTRAINED_INSTANCES[1]
+    constrained = constrained_boundary(inst["J"], inst["G"])
+    return {
+        "dirac": lambda trials: dirac_suite(dirac, trials, degrees=(0, 6),
+                                            seed=2),
+        "lagrange": lambda trials: lagrange_suite(lagrange, trials,
+                                                  degrees=(0, 6), seed=2),
+        "constrained": lambda trials: constrained_suite(
+            constrained, trials, degrees=(0, 6), seed=2),
+    }
+
+
+def test_trial_loops_do_no_fraction_arithmetic(monkeypatch):
+    # the Dirac suite builds its split and balance once, the Lagrange suite
+    # negates J_p once and the constrained suite builds one kernel basis per
+    # degree; the trials add nothing
+    for name, run in _suite_runs().items():
+        few, many = _suite_counts(monkeypatch, run)
+        assert few == many, name
+
+
+def test_trial_loops_construct_no_polynomials(monkeypatch):
+    for name, run in _suite_runs().items():
+        few, many = _suite_counts(monkeypatch, run, count_poly_constructions)
+        assert few == many, name
+    # drawing and evaluating latents builds none at all
+    inst = DIRAC_INSTANCES[-1]
+    dirac = _dirac_balance(boundary_structure(
+        validate_dirac_pair(inst["F"], inst["E"])))
+    counts = count_poly_constructions(monkeypatch)
+    for x1, x2, a, b in _latent_trials(dirac.cols, 6, (0, 6), 2, None):
+        dirac.residual(dirac.evaluate(x1), dirac.evaluate(x2), a, b)
+    assert counts == Counter()
 
 
 def test_constrained_residual_does_fixed_fraction_arithmetic(monkeypatch):

@@ -3,8 +3,8 @@ no longer do.
 
 `_Matrix.__mul__` (shared by `RatMatrix` and `PolyMatrix`) visits only the
 nonzero entries of both factors, `PolyMatrix.apply` gathers each output
-entry in one coefficient list, and `algebra._dot` convolves the nonzero
-coefficient pairs into one list.  Exact sums do not depend on the order of
+entry in one coefficient list, and `oracles.poly_dot` (once `algebra._dot`)
+convolves the nonzero coefficient pairs into one list.  Exact sums do not depend on the order of
 their terms, so each must equal the dense code it replaced, kept in
 `tests/oracles.py` as `dense_matmul`, `dense_apply` and `dense_dot`.
 
@@ -21,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundary_forge import Poly, PolyMatrix, RatMatrix, constrained_boundary
-from boundary_forge.algebra import _dot, polynomial_kernel_basis
-from boundary_forge.constrained import _constrained_sample
+from boundary_forge.algebra import polynomial_kernel_basis
+from boundary_forge.constrained import (_constrained_sample, _flow_operator,
+                                        _int_basis)
 
 from instances import CONSTRAINED_INSTANCES
-from oracles import dense_apply, dense_dot, dense_matmul
+from oracles import dense_apply, dense_dot, dense_matmul, poly_dot, poly_latent
 
 MANY = settings(max_examples=100)
 
@@ -153,17 +154,17 @@ def test_dot_equals_dense_dot(data):
     entries = st.one_of(polys, rationals, st.integers(-3, 3))
     u = data.draw(st.lists(entries, max_size=5))
     v = data.draw(st.lists(entries, max_size=5))
-    assert _dot(u, v) == dense_dot(u, v)
-    assert isinstance(_dot(u, v), Poly)
+    assert poly_dot(u, v) == dense_dot(u, v)
+    assert isinstance(poly_dot(u, v), Poly)
 
 
 def test_dot_of_empty_and_mixed_sequences():
     s = Poly.variable()
-    assert _dot([], []) == dense_dot([], []) == Poly.zero()
+    assert poly_dot([], []) == dense_dot([], []) == Poly.zero()
     u = [s, Fraction(1, 2), 3, Poly.zero(), 0]
     v = [Fraction(2), s * s, s, s, Poly([1, 1])]
-    assert _dot(u, v) == dense_dot(u, v) == Poly([0, 5, Fraction(1, 2)])
-    assert _dot([2, 3], [4, 5]) == dense_dot([2, 3], [4, 5]) == Poly.const(23)
+    assert poly_dot(u, v) == dense_dot(u, v) == Poly([0, 5, Fraction(1, 2)])
+    assert poly_dot([2, 3], [4, 5]) == dense_dot([2, 3], [4, 5]) == Poly.const(23)
 
 
 # counting ---------------------------------------------------------------------
@@ -220,7 +221,10 @@ def test_constrained_sample_skips_zero_kernel_entries(monkeypatch):
     assert len(zeros) == len(basis) == 8
     record = []
     count_poly_arithmetic(monkeypatch, record)
-    sample = _constrained_sample(structure, basis, 6, seed=3)
-    assert any(not e.is_zero for e in sample.effort)
+    latent = poly_latent(_constrained_sample(
+        structure, _flow_operator(structure), _int_basis(basis), 6, seed=3))
+    assert any(not e.is_zero for e in latent[:structure.m])
     assert not [pair for pair in record
                 if id(pair[0]) in zeros or id(pair[1]) in zeros]
+    # the sample is drawn in integers: no polynomial arithmetic at all
+    assert record == []

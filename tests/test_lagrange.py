@@ -13,12 +13,12 @@ from boundary_forge import (
     TwoVarPolyMatrix,
     lagrange_boundary,
     lagrange_condition_reports,
-    mul_zeta_plus_eta,
     storage_balance_form,
     validate_lagrange_pair,
 )
 
 from instances import LAGRANGE_INSTANCES, pm
+from oracles import mul_zeta_plus_eta, split_boundary
 
 s = Poly.variable()
 z = Poly.variable()
@@ -102,7 +102,7 @@ def test_states_and_efforts_from_latent():
 def test_split_boundary_halves():
     boundary = lagrange_boundary(validate_lagrange_pair(pm([[1]]),
                                                         pm([[s ** 2]])))
-    x_delta, e_delta = boundary.split_boundary((z ** 2,))
+    x_delta, e_delta = split_boundary(boundary, (z ** 2,))
     assert len(x_delta) == len(e_delta) == boundary.p == 1
 
 

@@ -32,7 +32,7 @@ from boundary_forge import (
     validate_lagrange_pair,
 )
 from boundary_forge import constrained, lagrange
-from boundary_forge.algebra import Poly, _dot, _int_dot, _IntOperator
+from boundary_forge.algebra import Poly, _int_dot, _IntOperator
 from boundary_forge.cli import parse_problem
 from boundary_forge.constrained import (
     ConstrainedSample,
@@ -49,7 +49,8 @@ from boundary_forge.harness import _latent_trials
 from boundary_forge.lagrange import LagrangeBoundary
 
 from instances import CONSTRAINED_INSTANCES, DIRAC_INSTANCES, LAGRANGE_INSTANCES
-from oracles import check_dirac_form, check_power_balance, integrate_pairing
+from oracles import (check_dirac_form, check_power_balance, integrate_pairing,
+                     poly_dot, poly_latent, split_boundary)
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "problems")
@@ -62,9 +63,9 @@ TRIALS = 20
 def _pairing_bracket(structure: BoundaryStructure, l1, l2) -> Poly:
     b1 = structure.boundary(l1)
     b2 = structure.boundary(l2)
-    sigma_b2 = [_dot((Poly.const(c) for c in row), b2)
+    sigma_b2 = [poly_dot((Poly.const(c) for c in row), b2)
                 for row in structure.Sigma.entries]
-    return _dot(b1, sigma_b2)
+    return poly_dot(b1, sigma_b2)
 
 
 def _dirac_form_residual(structure: BoundaryStructure, l1, l2, alpha, beta) -> Fraction:
@@ -77,7 +78,7 @@ def _dirac_form_residual(structure: BoundaryStructure, l1, l2, alpha, beta) -> F
 
 def _power_balance_residual(structure: BoundaryStructure, l, alpha, beta) -> Fraction:
     f, e = structure.flows(l), structure.efforts(l)
-    total = _dot(e, f).integral(Fraction(alpha), Fraction(beta))
+    total = poly_dot(e, f).integral(Fraction(alpha), Fraction(beta))
     bracket = _pairing_bracket(structure, l, l)
     return total - (bracket(beta) - bracket(alpha)) / 2
 
@@ -92,7 +93,7 @@ def _power_split_deviation(structure: BoundaryStructure, split: PowerSplit,
     makes the tolerance meaningful across trajectory scales.
     """
     f, e = structure.flows(l), structure.efforts(l)
-    total = _dot(e, f).integral(Fraction(alpha), Fraction(beta))
+    total = poly_dot(e, f).integral(Fraction(alpha), Fraction(beta))
     b = structure.boundary(l)
 
     def boundary_power(point) -> float:
@@ -120,20 +121,20 @@ def constrained_balance_form(structure: ConstrainedStructure,
     solutions.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
-    integrand = (_dot(sample1.effort, sample2.flow)
-                 + _dot(sample2.effort, sample1.flow))
+    integrand = (poly_dot(sample1.effort, sample2.flow)
+                 + poly_dot(sample2.effort, sample1.flow))
     total = integrand.integral(a, b)
 
     b_j1 = structure.Z_J.apply(sample1.effort)
     b_j2 = structure.Z_J.apply(sample2.effort)
-    sigma_bj2 = [_dot(row, b_j2) for row in structure.Sigma_J.entries]
-    j_bracket = _dot(b_j1, sigma_bj2)
+    sigma_bj2 = [poly_dot(row, b_j2) for row in structure.Sigma_J.entries]
+    j_bracket = poly_dot(b_j1, sigma_bj2)
 
     b_g1 = structure.Z_G.apply(sample1.effort)
     b_g2 = structure.Z_G.apply(sample2.effort)
     c_g1 = structure.V_G.apply(sample1.multiplier)
     c_g2 = structure.V_G.apply(sample2.multiplier)
-    g_bracket = _dot(b_g2, c_g1) + _dot(b_g1, c_g2)
+    g_bracket = poly_dot(b_g2, c_g1) + poly_dot(b_g1, c_g2)
 
     boundary = (j_bracket(b) - j_bracket(a)) + (g_bracket(b) - g_bracket(a))
     return total - boundary
@@ -153,12 +154,12 @@ def storage_balance_form(boundary: LagrangeBoundary, latent1, latent2, alpha, be
     a, b = Fraction(alpha), Fraction(beta)
     x1, e1 = boundary.states(latent1), boundary.efforts(latent1)
     x2, e2 = boundary.states(latent2), boundary.efforts(latent2)
-    integrand = _dot(x1, e2) - _dot(x2, e1)
+    integrand = poly_dot(x1, e2) - poly_dot(x2, e1)
     total = integrand.integral(a, b)
 
-    x_d1, e_d1 = boundary.split_boundary(latent1)
-    x_d2, e_d2 = boundary.split_boundary(latent2)
-    bracket = _dot(x_d1, e_d2) - _dot(e_d1, x_d2)
+    x_d1, e_d1 = split_boundary(boundary, latent1)
+    x_d2, e_d2 = split_boundary(boundary, latent2)
+    bracket = poly_dot(x_d1, e_d2) - poly_dot(e_d1, x_d2)
     return total + bracket(b) - bracket(a)
 
 
@@ -171,8 +172,9 @@ def reference_suite(structure, trials, seed, interval=None,
     except UnbalancedSignatureError:
         split = None
     form, balance, deviations = [], [], []
-    for l1, l2, a, b in _latent_trials(structure.rep.m, trials, (0, 2, 6),
+    for x1, x2, a, b in _latent_trials(structure.rep.m, trials, (0, 2, 6),
                                        seed, interval):
+        l1, l2 = poly_latent(x1), poly_latent(x2)
         form.append(_dirac_form_residual(structure, l1, l2, a, b))
         balance.append(_power_balance_residual(structure, l1, a, b))
         if split is not None:
@@ -249,7 +251,8 @@ def test_dirac_suite_matches_reference_on_given_interval():
 @pytest.mark.parametrize("label,structure", STRUCTURES[:4],
                          ids=[label for label, _ in STRUCTURES[:4]])
 def test_single_trial_checks_match_reference(label, structure):
-    l1, l2, a, b = next(_latent_trials(structure.rep.m, 1, (2,), 3, None))
+    x1, x2, a, b = next(_latent_trials(structure.rep.m, 1, (2,), 3, None))
+    l1, l2 = poly_latent(x1), poly_latent(x2)
     assert check_dirac_form(structure, l1, l2, a, b).residuals == (
         _dirac_form_residual(structure, l1, l2, a, b),)
     report = check_power_balance(structure, l1, a, b)
@@ -283,7 +286,8 @@ def test_storage_balance_matches_reference_when_perturbed(label, boundary):
                  dataclasses.replace(boundary, rep=dataclasses.replace(
                      boundary.rep, N_x=boundary.rep.N_x * Poly((1, 1))))]
     nonzero = 0
-    for l1, l2, a, b in _latent_trials(boundary.m, 6, (1, 3), 7, None):
+    for x1, x2, a, b in _latent_trials(boundary.m, 6, (1, 3), 7, None):
+        l1, l2 = poly_latent(x1), poly_latent(x2)
         for k, bd in enumerate(perturbed):
             got = lagrange.storage_balance_form(bd, l1, l2, a, b)
             assert got == storage_balance_form(bd, l1, l2, a, b)
@@ -323,7 +327,8 @@ def test_dirac_form_matches_reference_when_perturbed(label, structure):
     # scaling Sigma keeps its inertia, which the power split relies on
     scaled = dataclasses.replace(structure, Sigma=structure.Sigma * 2)
     nonzero = 0
-    for l1, l2, a, b in _latent_trials(structure.rep.m, 4, (2, 5), 9, None):
+    for x1, x2, a, b in _latent_trials(structure.rep.m, 4, (2, 5), 9, None):
+        l1, l2 = poly_latent(x1), poly_latent(x2)
         for st in (scaled, dataclasses.replace(
                 structure, rep=dataclasses.replace(
                     structure.rep, N_e=structure.rep.N_e + structure.rep.N_f))):
@@ -386,7 +391,8 @@ def test_check_power_balance_applies_each_operator_once(monkeypatch):
         return apply(self, derivs)
 
     monkeypatch.setattr(_IntOperator, "apply", counting_apply)
-    l, _, a, b = next(_latent_trials(structure.rep.m, 1, (3,), 2, None))
+    x, _, a, b = next(_latent_trials(structure.rep.m, 1, (3,), 2, None))
+    l = poly_latent(x)
     check_power_balance(structure, l, a, b)
     # N_f, N_e and Z on the one latent
     assert len(calls) == 3

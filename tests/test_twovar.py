@@ -14,13 +14,13 @@ from boundary_forge import (
     PolyMatrix,
     RatMatrix,
     TwoVarPolyMatrix,
-    bdf_apply,
     div_zeta_plus_eta,
     factor_general,
     factor_skew,
     factor_symmetric,
-    mul_zeta_plus_eta,
 )
+
+from oracles import bdf_apply, mul_zeta_plus_eta
 
 s = Poly.variable()
 z = Poly.variable()

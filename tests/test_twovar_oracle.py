@@ -14,12 +14,12 @@ from boundary_forge import (
     RatMatrix,
     TwoVarPolyMatrix,
     div_zeta_plus_eta,
-    mul_zeta_plus_eta,
 )
 
 from oracles import (
     BlockTwoVar,
     div_zeta_plus_eta_by_blocks,
+    mul_zeta_plus_eta,
     mul_zeta_plus_eta_by_blocks,
 )
 
