@@ -331,25 +331,13 @@ def _add_product(acc: list, xs, ys, zero=_ZERO) -> None:
                 acc[i + j] += a * b
 
 
-def _derivatives(vec, depth: int) -> list[list[Poly]]:
-    """Each entry of `vec` as a polynomial, with its first `depth`
-    derivatives."""
-    table = []
-    for v in vec:
-        ds = [_as_poly(v)]
-        for _ in range(depth):
-            ds.append(ds[-1].deriv())
-        table.append(ds)
-    return table
-
-
-# integer trial arithmetic ----------------------------------------------------
+# integer operator arithmetic -------------------------------------------------
 #
-# The randomized balance checks run on integers over one common denominator
-# (Knuth, TAOCP vol. 2, 4.6.1): each operator and the middle matrix is
-# scaled once by the lcm of its denominators, each trajectory is drawn as
-# integers over one denominator, every apply, dot, integral and endpoint
-# evaluation stays in `int`, and each residual becomes one `Fraction`.
+# `_IntOperator` is the one code that applies ``P(d/dz)``, on integers over
+# one common denominator (Knuth, TAOCP vol. 2, 4.6.1).  The balance checks
+# scale each operator and the middle matrix once, draw each trajectory as
+# integers over one denominator, keep every apply, dot, integral and endpoint
+# evaluation in `int`, and build one `Fraction` per residual.
 
 
 def _common_denominator(values) -> int:
@@ -826,22 +814,16 @@ class PolyMatrix(_Matrix):
         """Apply this matrix as the differential operator ``P(d/dz)`` to a
         vector of polynomial functions of ``z``.
 
-        Each output entry sums ``c * d`` over the nonzero coefficients ``c``
-        of its row and the matching derivatives ``d`` in one coefficient
-        list, and becomes one polynomial.
+        The vector is put over one denominator and the integer operator
+        (`_IntOperator`, the one code that applies an operator) gathers each
+        output entry in one integer coefficient list.
         """
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        derivs = _derivatives(vec, self.span)
-        out = []
-        for row in self.entries:
-            acc = []
-            for e, ds in zip(row, derivs):
-                for c, d in zip(e.coeffs, ds):
-                    if c:
-                        _add_product(acc, (c,), d.coeffs)
-            out.append(Poly(acc))
-        return tuple(out)
+        xs, den = _int_vector(vec)
+        op = _IntOperator(self)
+        return _poly_vector(op.apply(_int_derivatives(xs, op.span)),
+                            op.den * den)
 
     # -- determinants --------------------------------------------------------
 

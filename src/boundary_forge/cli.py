@@ -279,14 +279,10 @@ def parse_problem(path: str) -> ProblemFile:
 # report serialization -----------------------------------------------------------
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _poly_json(p: Poly) -> list:
     if p.is_zero:
         return ["0"]
-    return [_frac_str(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def _poly_matrix_json(pm: PolyMatrix) -> list:
@@ -294,7 +290,7 @@ def _poly_matrix_json(pm: PolyMatrix) -> list:
 
 
 def _rat_matrix_json(rm: RatMatrix) -> list:
-    return [[_frac_str(v) for v in row] for row in rm.entries]
+    return [[str(v) for v in row] for row in rm.entries]
 
 
 def _two_var_json(tv: TwoVarPolyMatrix) -> list:
@@ -449,7 +445,7 @@ def _realization_section(target, swap: tuple[int, ...] | None
         "C": _rat_matrix_json(realization.C),
         "D": _rat_matrix_json(realization.D),
         "Sigma": _rat_matrix_json(realization.Sigma),
-        "identities": [{"name": c.name, "residual": _frac_str(c.residual),
+        "identities": [{"name": c.name, "residual": str(c.residual),
                         "passed": c.passed} for c in report.checks],
         "identities_pass": report.all_pass,
     })
@@ -479,8 +475,8 @@ def _check_json(r) -> dict:
         "check": r.check,
         "instance": r.instance,
         "trials": r.trials,
-        "max_residual": _frac_str(max((abs(x) for x in r.residuals),
-                                      default=Fraction(0))),
+        "max_residual": str(max((abs(x) for x in r.residuals),
+                                default=Fraction(0))),
         "all_zero": r.all_zero,
         "elapsed": r.elapsed,
         "passed": r.all_pass,
@@ -691,7 +687,8 @@ def main(argv=None) -> int:
         )
         report = run(args.subcommand, problem, options)
     except (ParseError, SplitKindError, SwapIndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = "--swap: " if isinstance(exc, SwapIndexError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
     if args.format == "structured":
         print(json.dumps(report, indent=2))

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Poly, PolyMatrix, RatMatrix, _add_product, _Balance,
-                      _int_derivatives, _int_vector, _IntOperator, _poly_vector,
-                      polynomial_kernel_basis)
+                      _int_vector, _poly_vector, polynomial_kernel_basis)
 from .dirac import BoundaryStructure, _skew_adjoint_boundary, validate_skew_adjoint
 from .twovar import TwoVarPolyMatrix, div_zeta_plus_eta, factor_general
 
@@ -166,11 +165,6 @@ def _int_basis(basis) -> tuple[list[list[list[int]]], int]:
     return [flat[b * m:(b + 1) * m] for b in range(len(basis))], den
 
 
-def _flow_operator(structure: ConstrainedStructure) -> _IntOperator:
-    """[J G_adj], which takes (e; lam) to the flow f, as an integer operator."""
-    return _IntOperator(PolyMatrix.hstack([structure.J, structure.G_adj]))
-
-
 def constrained_sample(structure: ConstrainedStructure, degree: int, seed: int,
                        require_nonzero_e: bool = False) -> ConstrainedSample:
     """Draw a random exact solution with polynomial data of the given degree.
@@ -179,24 +173,22 @@ def constrained_sample(structure: ConstrainedStructure, degree: int, seed: int,
     G(d/dz) at that degree; the multiplier is a free random polynomial
     vector.  When the kernel is trivial the sample carries e = 0 and sets
     ``kernel_empty`` (or raises :class:`EmptyKernelError` when a nonzero
-    effort was required).
+    effort was required).  The flow is ``[J G_adj](d/dz) (e; lam)``.
     """
     basis = polynomial_kernel_basis(structure.G, degree)
-    latent = _poly_vector(*_constrained_sample(
-        structure, _flow_operator(structure), _int_basis(basis), degree, seed,
-        require_nonzero_e))
+    free = _poly_vector(*_constrained_sample(
+        structure, _int_basis(basis), degree, seed, require_nonzero_e))
+    flow = PolyMatrix.hstack([structure.J, structure.G_adj]).apply(free)
     m = structure.m
-    return ConstrainedSample(latent[:m], latent[2 * m:], latent[m:2 * m],
-                             not basis, degree, seed)
+    return ConstrainedSample(free[:m], free[m:], flow, not basis, degree, seed)
 
 
-def _constrained_sample(structure: ConstrainedStructure, flow: _IntOperator,
-                        basis, degree: int, seed: int,
-                        require_nonzero_e: bool = False
+def _constrained_sample(structure: ConstrainedStructure, basis, degree: int,
+                        seed: int, require_nonzero_e: bool = False
                         ) -> tuple[list[list[int]], int]:
-    """The latent (e; f; lam) of :func:`constrained_sample` as integer
+    """The free data (e; lam) of :func:`constrained_sample` as integer
     coefficient lists over one denominator, given the kernel basis at this
-    degree (`_int_basis`) and the `_flow_operator`."""
+    degree (`_int_basis`); the constrained balance forms the flow."""
     rng = random.Random(seed)
     vectors, den = basis
     effort = [[] for _ in range(structure.m)]
@@ -216,29 +208,27 @@ def _constrained_sample(structure: ConstrainedStructure, flow: _IntOperator,
     multiplier, multiplier_den = _random_int_vector(
         rng, structure.constraint_rows, degree)
     common = math.lcm(den, multiplier_den)
-    x = ([[c * (common // den) for c in cs] for cs in effort]
-         + [[c * (common // multiplier_den) for c in cs] for cs in multiplier])
-    f = flow.apply(_int_derivatives(x, flow.span))
-    x = [[c * flow.den for c in cs] for cs in x]
-    return x[:structure.m] + f + x[structure.m:], flow.den * common
+    return ([[c * (common // den) for c in cs] for cs in effort]
+            + [[c * (common // multiplier_den) for c in cs]
+               for cs in multiplier]), common
 
 
 def _constrained_balance(structure: ConstrainedStructure) -> _Balance:
-    """The constrained balance on the latent (e; f; lam): u = e, v = f and
-    w = (Z_J e; Z_G e; V_G lam), with M = Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]]."""
+    """The constrained balance on the free data (e; lam): u = e,
+    v = [J G_adj](d/dz) (e; lam) = f and w = (Z_J e; Z_G e; V_G lam), with
+    M = Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]]."""
     m, k = structure.m, structure.constraint_rows
     n_j, n_g = structure.n_j, structure.n_g
     zero = PolyMatrix.zero
-    ident = PolyMatrix.identity(m)
     w = PolyMatrix.vstack([
-        PolyMatrix.hstack([structure.Z_J, zero(n_j, m + k)]),
-        PolyMatrix.hstack([structure.Z_G, zero(n_g, m + k)]),
-        PolyMatrix.hstack([zero(n_g, 2 * m), structure.V_G])])
+        PolyMatrix.hstack([structure.Z_J, zero(n_j, k)]),
+        PolyMatrix.hstack([structure.Z_G, zero(n_g, k)]),
+        PolyMatrix.hstack([zero(n_g, m), structure.V_G])])
     pi = RatMatrix.vstack([
         RatMatrix.hstack([RatMatrix.zero(n_g, n_g), structure.Pi_G]),
         RatMatrix.hstack([structure.Pi_G.transpose(), RatMatrix.zero(n_g, n_g)])])
-    return _Balance(PolyMatrix.hstack([ident, zero(m, m + k)]),
-                    PolyMatrix.hstack([zero(m, m), ident, zero(m, k)]), w,
+    return _Balance(PolyMatrix.hstack([PolyMatrix.identity(m), zero(m, k)]),
+                    PolyMatrix.hstack([structure.J, structure.G_adj]), w,
                     RatMatrix.block_diag([structure.Sigma_J, pi]))
 
 
@@ -256,10 +246,12 @@ def constrained_balance_form(structure: ConstrainedStructure,
     computed in exact arithmetic; zero for every pair of constrained
     solutions.  The three brackets are the one form w1^T M w2 on
     w = (Z_J e; Z_G e; V_G lam) with M = Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]].
+    The relation forms each f from (e; lam) rather than reading
+    ``sample.flow``; the value is the same for every sample that solves the
+    relation, which is every sample :func:`constrained_sample` makes.
     """
     balance = _constrained_balance(structure)
     first, second = (balance.evaluate(_int_vector(
-        sample.effort + sample.flow + sample.multiplier))
-        for sample in (sample1, sample2))
+        sample.effort + sample.multiplier)) for sample in (sample1, sample2))
     return balance.residual(first, second, Fraction(interval[0]),
                             Fraction(interval[1]))

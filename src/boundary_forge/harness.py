@@ -15,8 +15,9 @@ run by every suite in the one trial loop `_balance_trials`.  Each kind
 supplies its draws (pairs of random latents, or of constrained solutions)
 and its balance, built once per suite: the operators taking a draw's latent
 to its (u, v, w), the middle M and the sign.  They are (N_e, N_f, Z), Sigma
-and + for the Dirac form; (e, f, (Z_J e; Z_G e; V_G lam)) read off the
-latent (e; f; lam), Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]] and + for the
+and + for the Dirac form; (e, f, (Z_J e; Z_G e; V_G lam)) on the free data
+(e; lam) of a constrained solution, whose flow f = [J G_adj](d/dz) (e; lam)
+the balance forms itself, Sigma_J (+) [[0, Pi_G], [Pi_G^T, 0]] and + for the
 constrained balance; (N_x, N_e, W), -J_p and - for the symplectic balance.
 The Dirac suite adds the power balance (the Dirac balance of a latent with
 itself, halved) on each trial's first latent.
@@ -25,12 +26,12 @@ The trials run on integers over one common denominator: the balance turns
 its operators and the nonzero entries of M into integers once, and every
 apply, dot, integral and endpoint evaluation stays in `int`.  The draws are
 integers too: each latent is drawn as integer coefficient lists over the
-lcm of its drawn denominators, and each constrained sample is formed from
-integer kernel vectors (one set per degree) and the integer operator
-[J G_adj].  The `randint` calls and their order are those of the public
-`random_latent` and `constrained_sample`, which turn the same draws into
-polynomials.  Each residual becomes one `Fraction`; the split's floats are
-correctly rounded quotients of the same integers.
+lcm of its drawn denominators, and the effort of each constrained sample is
+formed from integer kernel vectors (one set per degree).  The `randint`
+calls and their order are those of the public `random_latent` and
+`constrained_sample`, which turn the same draws into polynomials.  Each
+residual becomes one `Fraction`; the split's floats are correctly rounded
+quotients of the same integers.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .constrained import (
     ConstrainedStructure,
     _constrained_balance,
     _constrained_sample,
-    _flow_operator,
     _int_basis,
     _random_int_vector,
 )
@@ -238,18 +238,17 @@ def _latent_trials(m: int, trials: int, degrees, seed: int, interval):
 
 def _constrained_trials(structure: ConstrainedStructure, trials: int,
                         degrees, seed: int, interval):
-    """Per trial, the integer latents (e; f; lam) of two random constrained
+    """Per trial, the integer free data (e; lam) of two random constrained
     solutions and the interval: the given one, or else one drawn from the
     third sub-seed."""
     trial_degrees = _trial_degrees(trials, degrees)
     bases = {d: _int_basis(polynomial_kernel_basis(structure.G, d))
              for d in dict.fromkeys(trial_degrees)}
-    flow = _flow_operator(structure)
     given = None if interval is None else (Fraction(interval[0]),
                                            Fraction(interval[1]))
     for t, degree in enumerate(trial_degrees):
-        x1, x2 = (_constrained_sample(structure, flow, bases[degree],
-                                      degree, _sub_seed(seed, t, salt))
+        x1, x2 = (_constrained_sample(structure, bases[degree], degree,
+                                      _sub_seed(seed, t, salt))
                   for salt in (0, 1))
         yield x1, x2, *(given or _random_interval(
             random.Random(_sub_seed(seed, t, 2))))

@@ -37,6 +37,9 @@ package with no caller outside the tests, and so were `bdf_apply`,
 `PolyMatrix.apply` and `poly_dot` as they were before they visited
 only nonzero entries: every product of every row-column sum, zeros
 included, and a new polynomial for every term of `apply` and `poly_dot`.
+`dense_apply` and `bdf_apply` take their derivatives from `_derivatives`,
+the `Poly` derivative table that `PolyMatrix.apply` built before it ran on
+the integer operator `algebra._IntOperator`.
 
 `skew_congruence_full_update` and `congruence_reduce_full_update` are
 `skew_canonical_congruence` and `algebra._congruence_reduce` as they were
@@ -48,14 +51,14 @@ step visited, zero source entries included.
 residuals as they were before the trials ran on integers: every apply, dot,
 integral and endpoint evaluation in `Fraction`s, with the middle matrix
 scanned entry by entry.  `dirac_triple`, `storage_triple` and
-`constrained_triple` build their (u, v, w) triples, and `storage_middle`
-and `constrained_middle` their middle matrices.
+`constrained_triple` build their (u, v, w) triples with `dense_apply`, and
+`storage_middle` and `constrained_middle` their middle matrices.
 
 `fraction_random_latent` and `fraction_constrained_sample` are
 `random_latent` and the constrained sample as they were drawn before the
 trials drew integers: every coefficient a `Fraction`, every latent a tuple
 of `Poly`s, and the sample's effort and flow formed with `poly_dot` and two
-`PolyMatrix.apply` calls.  `poly_latent` turns an integer latent of the
+`dense_apply` calls.  `poly_latent` turns an integer latent of the
 trials into its polynomials.
 """
 
@@ -92,8 +95,8 @@ from boundary_forge.realize import (
     verify_realization_structure,
 )
 from boundary_forge.algebra import (NotSkewError, NotSymmetricError,
-                                    _add_product, _as_poly, _derivatives,
-                                    _int_vector, _poly_vector)
+                                    _add_product, _as_poly, _int_vector,
+                                    _poly_vector)
 from boundary_forge.dirac import DEFAULT_SPLIT_TOLERANCE, SplitToleranceError
 from boundary_forge.harness import (
     Trajectory,
@@ -125,6 +128,18 @@ def poly_dot(u, v) -> Poly:
         if xs:
             _add_product(acc, xs, _as_poly(y).coeffs)
     return Poly(acc)
+
+
+def _derivatives(vec, depth: int) -> list[list[Poly]]:
+    """Each entry of `vec` as a polynomial, with its first `depth`
+    derivatives."""
+    table = []
+    for v in vec:
+        ds = [_as_poly(v)]
+        for _ in range(depth):
+            ds.append(ds[-1].deriv())
+        table.append(ds)
+    return table
 
 
 def bdf_apply(phi: TwoVarPolyMatrix, v, w) -> Poly:
@@ -691,14 +706,16 @@ def _bracket_difference(w1, w2, middle: RatMatrix, alpha, beta) -> Fraction:
 def dirac_triple(structure: BoundaryStructure, latent):
     """The (efforts, flows, boundary values) of one latent: its (u, v, w)
     in the Dirac balance with middle Sigma."""
-    return (structure.efforts(latent), structure.flows(latent),
-            structure.boundary(latent))
+    return (dense_apply(structure.rep.N_e, latent),
+            dense_apply(structure.rep.N_f, latent),
+            dense_apply(structure.Z, latent))
 
 
 def storage_triple(boundary: LagrangeBoundary, latent):
     """The (states, efforts, W l) of one latent in the symplectic balance."""
-    return (boundary.states(latent), boundary.efforts(latent),
-            boundary.boundary(latent))
+    return (dense_apply(boundary.rep.N_x, latent),
+            dense_apply(boundary.rep.N_e, latent),
+            dense_apply(boundary.W, latent))
 
 
 def storage_middle(boundary: LagrangeBoundary) -> RatMatrix:
@@ -708,9 +725,9 @@ def storage_middle(boundary: LagrangeBoundary) -> RatMatrix:
 
 def constrained_triple(structure, sample):
     """The (e, f, (Z_J e; Z_G e; V_G lam)) of one constrained sample."""
-    w = (structure.Z_J.apply(sample.effort)
-         + structure.Z_G.apply(sample.effort)
-         + structure.V_G.apply(sample.multiplier))
+    w = (dense_apply(structure.Z_J, sample.effort)
+         + dense_apply(structure.Z_G, sample.effort)
+         + dense_apply(structure.V_G, sample.multiplier))
     return sample.effort, sample.flow, w
 
 
@@ -800,8 +817,8 @@ def fraction_constrained_sample(structure, basis, degree: int, seed: int,
                 break
     multiplier = tuple(_random_poly(rng, degree)
                        for _ in range(structure.constraint_rows))
-    j_part = structure.J.apply(effort)
-    g_part = structure.G_adj.apply(multiplier)
+    j_part = dense_apply(structure.J, effort)
+    g_part = dense_apply(structure.G_adj, multiplier)
     flow = tuple(a + b for a, b in zip(j_part, g_part))
     return effort, multiplier, flow
 

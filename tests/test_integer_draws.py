@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from boundary_forge import (
     EmptyKernelError,
     Poly,
+    PolyMatrix,
     constrained_boundary,
     constrained_sample,
     polynomial_kernel_basis,
@@ -101,12 +102,15 @@ def test_constrained_sample_equals_fraction_draw(seed, degree):
 def test_constrained_trials_equal_fraction_draws(seed, degree, interval):
     structure = STRUCTURES[1]
     basis = polynomial_kernel_basis(structure.G, degree)
+    relation = PolyMatrix.hstack([structure.J, structure.G_adj])
     for t, (x1, x2, a, b) in enumerate(
             _constrained_trials(structure, 2, (degree,), seed, interval)):
         for x, salt in ((x1, 0), (x2, 1)):
             effort, multiplier, flow = fraction_constrained_sample(
                 structure, basis, degree, _sub_seed(seed, t, salt))
-            assert poly_latent(x) == effort + flow + multiplier
+            # the trials draw the free data (e; lam); the balance forms f
+            assert poly_latent(x) == effort + multiplier
+            assert relation.apply(poly_latent(x)) == flow
         if interval is not None:
             assert (a, b) == tuple(map(Fraction, interval))
 

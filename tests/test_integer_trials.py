@@ -14,7 +14,8 @@ two zeros do.
 The counting tests pin the work saved with no wall clock: the trial loops
 of all three suites do no `Fraction` arithmetic and build no `Poly` at all,
 whatever the number of trials or the trajectory degree, because latents
-and constrained samples are drawn as integers.  Tests that compare with
+and constrained samples are drawn as integers, and a constrained trial
+makes six integer operator applies.  Tests that compare with
 the `Fraction` oracles turn a drawn latent into polynomials with
 `oracles.poly_latent`.
 """
@@ -39,7 +40,7 @@ from boundary_forge import (
     validate_dirac_pair,
     validate_lagrange_pair,
 )
-from boundary_forge.algebra import Poly, PolyMatrix, _Balance
+from boundary_forge.algebra import Poly, PolyMatrix, _Balance, _IntOperator
 from boundary_forge.constrained import constrained_balance_form
 from boundary_forge.dirac import DEFAULT_SPLIT_TOLERANCE
 from boundary_forge.harness import (
@@ -218,6 +219,18 @@ def count_poly_constructions(monkeypatch) -> Counter:
     return counts
 
 
+def count_int_applies(monkeypatch) -> Counter:
+    """Count `_IntOperator.apply` calls from here on."""
+    counts = Counter()
+
+    def counted(self, derivs, _original=_IntOperator.apply):
+        counts["apply"] += 1
+        return _original(self, derivs)
+
+    monkeypatch.setattr(_IntOperator, "apply", counted)
+    return counts
+
+
 def _suite_counts(monkeypatch, run, count=count_fraction_arithmetic
                   ) -> list[int]:
     """Operations counted by `count` in `run(trials)` for 3 and 12 trials."""
@@ -270,6 +283,14 @@ def test_trial_loops_construct_no_polynomials(monkeypatch):
     for x1, x2, a, b in _latent_trials(dirac.cols, 6, (0, 6), 2, None):
         dirac.residual(dirac.evaluate(x1), dirac.evaluate(x2), a, b)
     assert counts == Counter()
+
+
+def test_constrained_trial_applies_six_operators(monkeypatch):
+    """A constrained trial applies the balance's three operators to the free
+    data (e; lam) of each of its two samples, the flow operator [J G_adj]
+    among them; drawing a sample applies none."""
+    run = _suite_runs()["constrained"]
+    assert _suite_counts(monkeypatch, run, count_int_applies) == [18, 72]
 
 
 def test_constrained_residual_does_fixed_fraction_arithmetic(monkeypatch):

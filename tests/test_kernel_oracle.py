@@ -2,11 +2,15 @@
 no longer do.
 
 `_Matrix.__mul__` (shared by `RatMatrix` and `PolyMatrix`) visits only the
-nonzero entries of both factors, `PolyMatrix.apply` gathers each output
-entry in one coefficient list, and `oracles.poly_dot` (once `algebra._dot`)
-convolves the nonzero coefficient pairs into one list.  Exact sums do not depend on the order of
-their terms, so each must equal the dense code it replaced, kept in
-`tests/oracles.py` as `dense_matmul`, `dense_apply` and `dense_dot`.
+nonzero entries of both factors, `PolyMatrix.apply` runs on the integer
+operator `algebra._IntOperator` (the one code that applies a differential
+operator), which gathers each output entry in one integer coefficient list
+over one denominator, and `oracles.poly_dot` (once `algebra._dot`)
+convolves the nonzero coefficient pairs into one list.  Exact sums do not
+depend on the order of their terms or on a common denominator, so each must
+equal the dense code it replaced, kept in `tests/oracles.py` as
+`dense_matmul`, `dense_apply` and `dense_dot`.  The constrained sample draws
+only its free data (e; lam); the flow is the relation's to form.
 
 The counting tests pin the work saved, with no wall clock: they count
 `Poly` arithmetic by patching the class, as
@@ -22,8 +26,7 @@ from hypothesis import strategies as st
 
 from boundary_forge import Poly, PolyMatrix, RatMatrix, constrained_boundary
 from boundary_forge.algebra import polynomial_kernel_basis
-from boundary_forge.constrained import (_constrained_sample, _flow_operator,
-                                        _int_basis)
+from boundary_forge.constrained import _constrained_sample, _int_basis
 
 from instances import CONSTRAINED_INSTANCES
 from oracles import dense_apply, dense_dot, dense_matmul, poly_dot, poly_latent
@@ -221,8 +224,8 @@ def test_constrained_sample_skips_zero_kernel_entries(monkeypatch):
     assert len(zeros) == len(basis) == 8
     record = []
     count_poly_arithmetic(monkeypatch, record)
-    latent = poly_latent(_constrained_sample(
-        structure, _flow_operator(structure), _int_basis(basis), 6, seed=3))
+    latent = poly_latent(_constrained_sample(structure, _int_basis(basis), 6,
+                                             seed=3))
     assert any(not e.is_zero for e in latent[:structure.m])
     assert not [pair for pair in record
                 if id(pair[0]) in zeros or id(pair[1]) in zeros]
